@@ -176,8 +176,10 @@ def build_parser():
     p.add_argument("--theorem", required=True, choices=THEOREMS)
     p.add_argument("--k", type=int, default=None,
                    help="potency degree (kpotent only; others fix it)")
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--backend", choices=("numba", "numpy"), default=None)
+    p.add_argument("--workers", type=int, default=None,
+                   help="number of first-column ranges, swept one after "
+                        "another (default: the CPU count)")
+    p.add_argument("--backend", choices=("numpy",), default=None)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--spot", type=int, default=24,
                    help="how many preservers to push through the factorization")

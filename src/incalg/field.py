@@ -369,31 +369,6 @@ class Scalar:
         return f"{self.field.format(self.value)} in {self.field!r}"
 
 
-def scalar_arith(op, operands):
-    """Apply a named field operation to Scalar operands.
-
-    op is one of add, sub, mul, div, neg, inv, pow (pow takes (Scalar, int)).
-    """
-    ops1 = {"neg", "inv"}
-    ops2 = {"add", "sub", "mul", "div", "pow"}
-    if op in ops1:
-        (a,) = operands
-        F = a.field
-        if op == "neg":
-            return Scalar(F, F.neg(a.value))
-        return Scalar(F, F.inv(a.value))
-    if op not in ops2:
-        raise ValueError(f"unknown scalar op {op!r}")
-    a, b = operands
-    F = a.field
-    if op == "pow":
-        return Scalar(F, F.pow_(a.value, b))
-    if not isinstance(b, Scalar) or b.field != F:
-        raise UnsupportedField("operands from different fields")
-    fn = {"add": F.add, "sub": F.sub, "mul": F.mul, "div": F.div}[op]
-    return Scalar(F, fn(a.value, b.value))
-
-
 def multiplicative_order(F, a):
     if a == F.zero:
         raise DivisionByZero("0 has no multiplicative order")
@@ -435,10 +410,3 @@ def roots_of_unity(F, m):
     if not F.is_finite():
         return [Fraction(1), Fraction(-1)] if m % 2 == 0 else [Fraction(1)]
     return [a for a in range(1, F.q) if F.pow_(a, m) == F.one]
-
-
-def enumerate_scalars(F):
-    """All scalars of a finite field, zero first, in code order."""
-    if not F.is_finite():
-        raise UnsupportedField("cannot enumerate the rationals")
-    return (Scalar(F, a) for a in range(F.q))

@@ -1,25 +1,24 @@
 """Sweep kernels: enumerate GL(dim, q) or the full map space with per-map flags.
 
-Maps are dim-tuples of column codes, code = sum_j coeff_j q^j, visited in
-depth-first order (columns chosen left to right, candidate codes ascending).
-Flags per map:
+Maps are dim-tuples of column codes, code = sum_j coeff_j q^j, reported in
+lexicographic order of their columns (first column slowest, candidate codes
+ascending). Flags per map:
 
   preserver  every k-potent code lands on a k-potent code
   lie        brackets of basis pairs are preserved
   circ       Jordan products of basis pairs are preserved (full scan only)
   exidem     the image of every diagonal basis element is idempotent
 
-Two backends compute identical results. The default is a set of numba
-kernels (plus a leaner GF(2) specialization that works on raw codes with
-XOR); setting INCALG_NO_NUMBA, or passing backend="numpy", selects a
-vectorized numpy lane that enumerates by span-mask expansion instead of
-depth-first search. Agreement between the lanes is a real cross-check, not
-a re-run of the same loops, and the parity tests rely on that.
+The sweep is vectorized numpy. It enumerates GL level by level: a frontier
+row is a prefix of independent columns with a mask of their span, and the
+next level appends every code outside that span. The last level is expanded
+in blocks of frontier rows, and each block of complete maps is flagged at
+once. Per map flag combination the results keep an integer count, indexed by
+the flag bits.
 """
 
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,28 +27,12 @@ from ..errors import BudgetExceeded, UnsupportedField
 from ..linmaps import LinMap
 from ..potents import DEFAULT_BUDGET, batch_convolve, potent_code_tables, space_digits
 
-if os.environ.get("INCALG_NO_NUMBA"):
-    numba = None
-else:
-    try:
-        import numba
-    except ImportError:
-        numba = None
-
 SWEEP_SPACE_CAP = 4096  # conv table is space^2 entries; sweeps stay desk-scale
 
 
-def backend_default():
-    return "numpy" if numba is None else "numba"
-
-
-def _require_backend(backend):
-    b = backend or backend_default()
-    if b not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {b!r}")
-    if b == "numba" and numba is None:
-        raise ValueError("numba backend requested but numba is unavailable")
-    return b
+def _check_backend(backend):
+    if backend not in (None, "numpy"):
+        raise ValueError(f"unknown backend {backend!r}; the sweep runs on numpy")
 
 
 # --- shared tables ---
@@ -88,15 +71,20 @@ def _encode(digit_rows, q):
 def build_sweep_tables(P, F, k, budget=DEFAULT_BUDGET):
     if not F.is_finite():
         raise UnsupportedField("sweeps need a finite field")
-    key = (P, F, k)
-    if key in _TABLES_CACHE:
-        return _TABLES_CACHE[key]
     q, dim = F.q, P.dim
     space = q ** dim
+    # refuse before the cache lookup: the cache key has no budget in it
+    if space > budget:
+        raise BudgetExceeded(
+            f"coefficient space has {space} elements, budget is {budget}",
+            required=space)
     if space > SWEEP_SPACE_CAP:
         raise BudgetExceeded(
             f"coefficient space {space} exceeds the sweep cap {SWEEP_SPACE_CAP}",
             required=space)
+    key = (P, F, k)
+    if key in _TABLES_CACHE:
+        return _TABLES_CACHE[key]
     pot_codes, _, pot_lookup = potent_code_tables(P, F, k, budget=budget)
     _, dig = space_digits(P, F)
 
@@ -156,436 +144,107 @@ def linmap_from_codes(P, F, codes):
     return LinMap(P, F, cols)
 
 
-# --- numba kernels ---
+# --- flags ---
 
-if numba is not None:
-
-    @numba.njit(cache=True, nogil=True)
-    def _gl_sweep_nb(dim, q, space, n_diag, dig, vec_add, vec_smul, vec_neg,
-                     conv, lie_b, pot_codes, pot_lookup, col0_lo, col0_hi,
-                     want_lie, want_exidem, pres_buf, lie_buf, mism_buf, counts):
-        cols = np.zeros(dim, np.int64)
-        span_mark = np.zeros(space, np.uint8)
-        span_list = np.empty(space, np.int64)
-        span_save = np.zeros(dim, np.int64)
-        span_mark[0] = 1
-        span_list[0] = 0
-        span_len = 1
-        npot = pot_codes.shape[0]
-        cap_p = pres_buf.shape[0]
-        cap_l = lie_buf.shape[0]
-        cap_m = mism_buf.shape[0]
-        n_pres = 0
-        n_lie = 0
-        n_mism = 0
-        level = 0
-        cand = col0_lo
-        while True:
-            limit = col0_hi if level == 0 else space
-            while cand < limit and span_mark[cand] != 0:
-                cand += 1
-            if cand >= limit:
-                if level == 0:
-                    break
-                level -= 1
-                old = span_save[level]
-                for t in range(old, span_len):
-                    span_mark[span_list[t]] = 0
-                span_len = old
-                cand = cols[level] + 1
-                continue
-            cols[level] = cand
-            if level == dim - 1:
-                counts[8] += 1
-                pres = 1
-                for ti in range(npot):
-                    tcode = pot_codes[ti]
-                    w = np.int64(0)
-                    for j in range(dim):
-                        dj = dig[tcode, j]
-                        if dj != 0:
-                            w = vec_add[w, vec_smul[dj, cols[j]]]
-                    if pot_lookup[w] == 0:
-                        pres = 0
-                        break
-                lie = 0
-                if want_lie != 0:
-                    lie = 1
-                    for a in range(dim):
-                        ca = cols[a]
-                        for b in range(a + 1, dim):
-                            cb = cols[b]
-                            rhs = vec_add[conv[ca, cb], vec_neg[conv[cb, ca]]]
-                            tcode = lie_b[a, b]
-                            w = np.int64(0)
-                            for j in range(dim):
-                                dj = dig[tcode, j]
-                                if dj != 0:
-                                    w = vec_add[w, vec_smul[dj, cols[j]]]
-                            if w != rhs:
-                                lie = 0
-                                break
-                        if lie == 0:
-                            break
-                exid = 0
-                if want_exidem != 0:
-                    exid = 1
-                    for x in range(n_diag):
-                        cx = cols[x]
-                        if conv[cx, cx] != cx:
-                            exid = 0
-                            break
-                counts[pres | (lie << 1) | (exid << 2)] += 1
-                if pres == 1:
-                    if n_pres < cap_p:
-                        for j in range(dim):
-                            pres_buf[n_pres, j] = cols[j]
-                    n_pres += 1
-                if want_lie != 0 and lie == 1:
-                    if n_lie < cap_l:
-                        for j in range(dim):
-                            lie_buf[n_lie, j] = cols[j]
-                    n_lie += 1
-                if want_lie != 0 and want_exidem != 0 and pres != (lie & exid):
-                    if n_mism < cap_m:
-                        for j in range(dim):
-                            mism_buf[n_mism, j] = cols[j]
-                    n_mism += 1
-                cand += 1
-                continue
-            span_save[level] = span_len
-            m = span_len
-            for t in range(m):
-                s = span_list[t]
-                for cc in range(1, q):
-                    v = vec_add[s, vec_smul[cc, cand]]
-                    span_mark[v] = 1
-                    span_list[span_len] = v
-                    span_len += 1
-            level += 1
-            cand = 1
-        return n_pres, n_lie, n_mism
-
-    @numba.njit(cache=True, nogil=True)
-    def _gl_sweep_nb_gf2(dim, space, n_diag, conv, pot_codes, pot_lookup,
-                         col0_lo, col0_hi, want_lie, want_exidem,
-                         pres_buf, lie_buf, mism_buf, counts):
-        # GF(2): vector addition is XOR on codes, the only scalar is 1
-        cols = np.zeros(dim, np.int64)
-        span_mark = np.zeros(space, np.uint8)
-        span_list = np.empty(space, np.int64)
-        span_save = np.zeros(dim, np.int64)
-        span_mark[0] = 1
-        span_list[0] = 0
-        span_len = 1
-        npot = pot_codes.shape[0]
-        cap_p = pres_buf.shape[0]
-        cap_l = lie_buf.shape[0]
-        cap_m = mism_buf.shape[0]
-        n_pres = 0
-        n_lie = 0
-        n_mism = 0
-        level = 0
-        cand = col0_lo
-        while True:
-            limit = col0_hi if level == 0 else space
-            while cand < limit and span_mark[cand] != 0:
-                cand += 1
-            if cand >= limit:
-                if level == 0:
-                    break
-                level -= 1
-                old = span_save[level]
-                for t in range(old, span_len):
-                    span_mark[span_list[t]] = 0
-                span_len = old
-                cand = cols[level] + 1
-                continue
-            cols[level] = cand
-            if level == dim - 1:
-                counts[8] += 1
-                pres = 1
-                for ti in range(npot):
-                    tt = pot_codes[ti]
-                    w = np.int64(0)
-                    j = 0
-                    while tt != 0:
-                        if tt & 1:
-                            w ^= cols[j]
-                        tt >>= 1
-                        j += 1
-                    if pot_lookup[w] == 0:
-                        pres = 0
-                        break
-                lie = 0
-                if want_lie != 0:
-                    lie = 1
-                    for a in range(dim):
-                        ca = cols[a]
-                        for b in range(a + 1, dim):
-                            cb = cols[b]
-                            rhs = conv[ca, cb] ^ conv[cb, ca]
-                            tt = conv[np.int64(1) << a, np.int64(1) << b] ^ \
-                                conv[np.int64(1) << b, np.int64(1) << a]
-                            w = np.int64(0)
-                            j = 0
-                            while tt != 0:
-                                if tt & 1:
-                                    w ^= cols[j]
-                                tt >>= 1
-                                j += 1
-                            if w != rhs:
-                                lie = 0
-                                break
-                        if lie == 0:
-                            break
-                exid = 0
-                if want_exidem != 0:
-                    exid = 1
-                    for x in range(n_diag):
-                        cx = cols[x]
-                        if conv[cx, cx] != cx:
-                            exid = 0
-                            break
-                counts[pres | (lie << 1) | (exid << 2)] += 1
-                if pres == 1:
-                    if n_pres < cap_p:
-                        for j in range(dim):
-                            pres_buf[n_pres, j] = cols[j]
-                    n_pres += 1
-                if want_lie != 0 and lie == 1:
-                    if n_lie < cap_l:
-                        for j in range(dim):
-                            lie_buf[n_lie, j] = cols[j]
-                    n_lie += 1
-                if want_lie != 0 and want_exidem != 0 and pres != (lie & exid):
-                    if n_mism < cap_m:
-                        for j in range(dim):
-                            mism_buf[n_mism, j] = cols[j]
-                    n_mism += 1
-                cand += 1
-                continue
-            span_save[level] = span_len
-            m = span_len
-            for t in range(m):
-                v = span_list[t] ^ cand
-                span_mark[v] = 1
-                span_list[span_len] = v
-                span_len += 1
-            level += 1
-            cand = 1
-        return n_pres, n_lie, n_mism
-
-    @numba.njit(cache=True, nogil=True)
-    def _full_scan_nb(dim, space, n_diag, dig, vec_add, vec_smul, conv,
-                      circ_b, addt, mult, negt, invt, pot_codes, pot_lookup,
-                      lo, hi, want_circ, want_exidem, pres_buf, counts):
-        cols = np.zeros(dim, np.int64)
-        work = np.zeros((dim, dim), np.uint8)
-        npot = pot_codes.shape[0]
-        cap_p = pres_buf.shape[0]
-        n_pres = 0
-        for mcode in range(lo, hi):
-            mm = mcode
-            for j in range(dim):
-                cols[j] = mm % space
-                mm //= space
-            counts[16] += 1
-            for j in range(dim):
-                cj = cols[j]
-                for i in range(dim):
-                    work[i, j] = dig[cj, i]
-            rank = 0
-            for col in range(dim):
-                piv = -1
-                for r in range(rank, dim):
-                    if work[r, col] != 0:
-                        piv = r
-                        break
-                if piv == -1:
-                    continue
-                if piv != rank:
-                    for c2 in range(dim):
-                        tmp = work[piv, c2]
-                        work[piv, c2] = work[rank, c2]
-                        work[rank, c2] = tmp
-                pinv = invt[work[rank, col]]
-                for c2 in range(dim):
-                    work[rank, c2] = mult[pinv, work[rank, c2]]
-                for r in range(dim):
-                    if r != rank and work[r, col] != 0:
-                        f = work[r, col]
-                        for c2 in range(dim):
-                            work[r, c2] = addt[work[r, c2],
-                                               negt[mult[f, work[rank, c2]]]]
-                rank += 1
-            bij = 1 if rank == dim else 0
-            pres = 1
-            for ti in range(npot):
-                tcode = pot_codes[ti]
-                w = np.int64(0)
-                for j in range(dim):
-                    dj = dig[tcode, j]
-                    if dj != 0:
-                        w = vec_add[w, vec_smul[dj, cols[j]]]
-                if pot_lookup[w] == 0:
-                    pres = 0
-                    break
-            circ = 0
-            if want_circ != 0:
-                circ = 1
-                for a in range(dim):
-                    ca = cols[a]
-                    for b in range(a, dim):
-                        cb = cols[b]
-                        rhs = vec_add[conv[ca, cb], conv[cb, ca]]
-                        tcode = circ_b[a, b]
-                        w = np.int64(0)
-                        for j in range(dim):
-                            dj = dig[tcode, j]
-                            if dj != 0:
-                                w = vec_add[w, vec_smul[dj, cols[j]]]
-                        if w != rhs:
-                            circ = 0
-                            break
-                    if circ == 0:
-                        break
-            exid = 0
-            if want_exidem != 0:
-                exid = 1
-                for x in range(n_diag):
-                    cx = cols[x]
-                    if conv[cx, cx] != cx:
-                        exid = 0
-                        break
-            counts[bij | (pres << 1) | (circ << 2) | (exid << 3)] += 1
-            if pres == 1:
-                if n_pres < cap_p:
-                    for j in range(dim):
-                        pres_buf[n_pres, j] = cols[j]
-                n_pres += 1
-        return n_pres
+def image_codes(tab, t, cols, rows=Ellipsis):
+    """Code of phi(t) for every map phi in ``cols[rows]``. ``cols`` is a
+    (maps, dim) array of column codes, or the dim column codes of one map;
+    ``t`` is one code, or an array of codes that broadcasts against the
+    selected maps."""
+    cols = np.asarray(cols)
+    digits = tab.dig[t]
+    w = tab.vec_smul[digits[..., 0], cols[rows, 0]]
+    for j in range(1, tab.dim):
+        dj = digits[..., j]
+        if dj.ndim == 0 and dj == 0:
+            continue  # a zero coordinate adds nothing
+        w = tab.vec_add[w, tab.vec_smul[dj, cols[rows, j]]]
+    return w
 
 
-# --- numpy lane ---
-
-def _eval_flags_np(tab, cols, want_lie, want_exidem):
-    M = cols.shape[0]
-    pres = np.ones(M, dtype=bool)
-    alive = np.arange(M)
+def _preserves_potents(tab, cols):
+    pres = np.zeros(len(cols), dtype=bool)
+    alive = np.arange(len(cols))
     for t in tab.pot_codes:
         if alive.size == 0:
             break
-        w = np.zeros(alive.size, dtype=np.int64)
-        for j in range(tab.dim):
-            dj = int(tab.dig[t, j])
-            if dj:
-                w = tab.vec_add[w, tab.vec_smul[dj, cols[alive, j]]]
-        ok = tab.pot_lookup[w] != 0
-        pres[alive[~ok]] = False
-        alive = alive[ok]
-    lie = np.zeros(M, dtype=bool)
-    if want_lie:
-        lie[:] = True
-        alive = np.arange(M)
-        for a in range(tab.dim):
-            for b in range(a + 1, tab.dim):
-                if alive.size == 0:
-                    break
-                ca = cols[alive, a]
-                cb = cols[alive, b]
-                rhs = tab.vec_add[tab.conv[ca, cb], tab.vec_neg[tab.conv[cb, ca]]]
-                t = int(tab.lie_b[a, b])
-                w = np.zeros(alive.size, dtype=np.int64)
-                for j in range(tab.dim):
-                    dj = int(tab.dig[t, j])
-                    if dj:
-                        w = tab.vec_add[w, tab.vec_smul[dj, cols[alive, j]]]
-                ok = w == rhs
-                lie[alive[~ok]] = False
-                alive = alive[ok]
-    exid = np.zeros(M, dtype=bool)
-    if want_exidem:
-        exid[:] = True
-        for x in range(tab.n):
-            cx = cols[:, x]
-            exid &= tab.conv[cx, cx] == cx
-    return pres, lie, exid
+        alive = alive[tab.pot_lookup[image_codes(tab, t, cols, alive)] != 0]
+    pres[alive] = True
+    return pres
 
 
-def _gl_sweep_np(tab, col0_lo, col0_hi, want_lie, want_exidem,
-                 pres_out, lie_out, mism_out, counts):
-    space, dim, q = tab.space, tab.dim, tab.q
-    c0 = np.arange(max(col0_lo, 1), col0_hi, dtype=np.int64)
-    if c0.size == 0:
-        return 0, 0, 0
-    prefixes = c0[:, None]
-    masks = np.zeros((c0.size, space), dtype=bool)
-    masks[:, 0] = True
-    rows0 = np.arange(c0.size)
-    for cc in range(1, q):
-        masks[rows0, tab.vec_smul[cc, c0]] = True
+def _keeps_products(tab, cols, lie):
+    """True where phi keeps the product of every pair of basis elements: the
+    Lie bracket xy - yx (pairs a < b) when ``lie``, else the Jordan product
+    xy + yx (pairs a <= b)."""
+    prod_b = tab.lie_b if lie else tab.circ_b
+    keep = np.zeros(len(cols), dtype=bool)
+    alive = np.arange(len(cols))
+    for a in range(tab.dim):
+        for b in range(a + 1 if lie else a, tab.dim):
+            if alive.size == 0:
+                break
+            ca, cb = cols[alive, a], cols[alive, b]
+            ba = tab.conv[cb, ca]
+            rhs = tab.vec_add[tab.conv[ca, cb], tab.vec_neg[ba] if lie else ba]
+            image = image_codes(tab, int(prod_b[a, b]), cols, alive)
+            alive = alive[image == rhs]
+    keep[alive] = True
+    return keep
 
-    arange_sp = np.arange(space, dtype=np.int64)
-    for _level in range(1, dim - 1):
-        rows, cands = np.nonzero(~masks)
+
+def _idempotent_diagonal(tab, cols):
+    exid = np.ones(len(cols), dtype=bool)
+    for x in range(tab.n):
+        cx = cols[:, x]
+        exid &= tab.conv[cx, cx] == cx
+    return exid
+
+
+def _tally(flag_counts, *flags):
+    """Add one count per map at the index whose bit i is flags[i]."""
+    idx = sum(f.astype(np.uint8) << i for i, f in enumerate(flags))
+    flag_counts += np.bincount(idx, minlength=flag_counts.size)
+
+
+# --- enumeration ---
+
+def _grow_spans(tab, spans, cands):
+    """Span masks after appending column ``cands[r]`` to row r."""
+    arange_sp = np.arange(tab.space, dtype=np.int64)
+    grown = spans.copy()
+    for cc in range(1, tab.q):
+        shift = tab.vec_neg[tab.vec_smul[cc, cands]]
+        idx = tab.vec_add[shift[:, None], arange_sp[None, :]]
+        grown |= np.take_along_axis(spans, idx, axis=1)
+    return grown
+
+
+def _gl_blocks(tab, lo, hi):
+    """Blocks of the maps in GL whose first column code lies in [lo, hi), in
+    lexicographic order, each a (maps, dim) array of column codes."""
+    first = np.zeros(tab.space, dtype=bool)
+    first[max(lo, 1):hi] = True
+    prefixes = np.zeros((1, 0), dtype=np.int64)
+    spans = np.zeros((1, tab.space), dtype=bool)
+    spans[0, 0] = True  # the span of no columns
+    # level 0 confines the first column to [lo, hi)
+    for level in range(tab.dim - 1):
+        rows, cands = np.nonzero(~spans & first if level == 0 else ~spans)
         prefixes = np.concatenate([prefixes[rows], cands[:, None]], axis=1)
-        base = masks[rows]
-        nm = base.copy()
-        for cc in range(1, q):
-            shift = tab.vec_neg[tab.vec_smul[cc, cands]]
-            idx = tab.vec_add[shift[:, None], arange_sp[None, :]]
-            nm |= np.take_along_axis(base, idx, axis=1)
-        masks = nm
+        spans = _grow_spans(tab, spans[rows], cands)
 
-    n_pres = n_lie = n_mism = 0
-    nprefix = prefixes.shape[0] if dim > 1 else 0
-    if dim == 1:
-        # every nonzero code in range is a complete map
-        cols = c0[:, None]
-        pres, lie, exid = _eval_flags_np(tab, cols, want_lie, want_exidem)
-        combo = pres.astype(np.int64) | (lie.astype(np.int64) << 1) \
-            | (exid.astype(np.int64) << 2)
-        counts[:8] += np.bincount(combo, minlength=8)
-        counts[8] += cols.shape[0]
-        pres_out.append(cols[pres])
-        n_pres = int(pres.sum())
-        if want_lie:
-            lie_out.append(cols[lie])
-            n_lie = int(lie.sum())
-        if want_lie and want_exidem:
-            mm = pres != (lie & exid)
-            mism_out.append(cols[mm])
-            n_mism = int(mm.sum())
-        return n_pres, n_lie, n_mism
-
-    block = max(1, (1 << 21) // space)
-    for p0 in range(0, nprefix, block):
-        sub_masks = masks[p0:p0 + block]
-        r2, c2 = np.nonzero(~sub_masks)
-        cols = np.concatenate([prefixes[p0 + r2], c2[:, None]], axis=1)
-        pres, lie, exid = _eval_flags_np(tab, cols, want_lie, want_exidem)
-        combo = pres.astype(np.int64) | (lie.astype(np.int64) << 1) \
-            | (exid.astype(np.int64) << 2)
-        counts[:8] += np.bincount(combo, minlength=8)
-        counts[8] += cols.shape[0]
-        if pres.any():
-            pres_out.append(cols[pres])
-        n_pres += int(pres.sum())
-        if want_lie and lie.any():
-            lie_out.append(cols[lie])
-        n_lie += int(lie.sum())
-        if want_lie and want_exidem:
-            mm = pres != (lie & exid)
-            if mm.any():
-                mism_out.append(cols[mm])
-            n_mism += int(mm.sum())
-    return n_pres, n_lie, n_mism
+    block = max(1, (1 << 21) // tab.space)
+    for p0 in range(0, prefixes.shape[0], block):
+        free = ~spans[p0:p0 + block]
+        rows, cands = np.nonzero(free & first if tab.dim == 1 else free)
+        yield np.concatenate([prefixes[p0 + rows], cands[:, None]], axis=1)
 
 
-def _full_scan_np(tab, lo, hi, want_circ, want_exidem, pres_out, counts):
+def _full_blocks(tab, lo, hi):
+    """Blocks of the maps with map code in [lo, hi), map code = sum_j
+    cols[j] space^j, with an invertibility flag per map."""
     space, dim = tab.space, tab.dim
-    n_pres = 0
     block = 1 << 16
     one = np.uint64(1)
     for b0 in range(lo, hi, block):
@@ -613,45 +272,36 @@ def _full_scan_np(tab, lo, hi, want_circ, want_exidem, pres_out, counts):
                     shifted |= np.where(has, one << tgt, np.uint64(0))
                 grown |= shifted
             bits = grown
-        pres, _, exid = _eval_flags_np(tab, cols, False, want_exidem)
-        circ = np.zeros(M, dtype=bool)
-        if want_circ:
-            circ[:] = True
-            alive = np.arange(M)
-            for a in range(dim):
-                for b in range(a, dim):
-                    if alive.size == 0:
-                        break
-                    ca = cols[alive, a]
-                    cb = cols[alive, b]
-                    rhs = tab.vec_add[tab.conv[ca, cb], tab.conv[cb, ca]]
-                    t = int(tab.circ_b[a, b])
-                    w = np.zeros(alive.size, dtype=np.int64)
-                    for j in range(dim):
-                        dj = int(tab.dig[t, j])
-                        if dj:
-                            w = tab.vec_add[w, tab.vec_smul[dj, cols[alive, j]]]
-                    ok = w == rhs
-                    circ[alive[~ok]] = False
-                    alive = alive[ok]
-        combo = bij.astype(np.int64) | (pres.astype(np.int64) << 1) \
-            | (circ.astype(np.int64) << 2) | (exid.astype(np.int64) << 3)
-        counts[:16] += np.bincount(combo, minlength=16)
-        counts[16] += M
-        if pres.any():
-            pres_out.append(cols[pres])
-        n_pres += int(pres.sum())
-    return n_pres
+        yield cols, bij
 
 
 # --- drivers ---
 
+class _FlagCounts:
+    """Counts per flag combination: ``flag_counts[i]`` counts the maps whose
+    flag ``FLAGS[b]`` is bit b of i."""
+
+    FLAGS = ()
+
+    def flag(self, name):
+        """Value (0 or 1) of flag ``name`` at each index of flag_counts."""
+        return (np.arange(self.flag_counts.size) >> self.FLAGS.index(name)) & 1
+
+    @property
+    def counts(self):
+        """The flag counts keyed like "pres=1,lie=0,exidem=1"."""
+        return {",".join(f"{name}={(i >> b) & 1}"
+                         for b, name in enumerate(self.FLAGS)): int(c)
+                for i, c in enumerate(self.flag_counts)}
+
+
 @dataclass
-class SweepResult:
-    backend: str
+class SweepResult(_FlagCounts):
+    FLAGS = ("pres", "lie", "exidem")
+
     workers: int
     n_maps: int
-    counts: dict
+    flag_counts: np.ndarray
     preservers: np.ndarray  # (n_pres, dim) column codes, enumeration order
     lie_maps: np.ndarray
     mismatches: np.ndarray
@@ -659,11 +309,12 @@ class SweepResult:
 
 
 @dataclass
-class FullScanResult:
-    backend: str
+class FullScanResult(_FlagCounts):
+    FLAGS = ("bij", "pres", "circ", "exidem")
+
     workers: int
     n_maps: int
-    counts: dict
+    flag_counts: np.ndarray
     preservers: np.ndarray
     elapsed_s: float
 
@@ -674,94 +325,62 @@ def _split_ranges(lo, hi, parts):
     return [(a, min(a + step, hi)) for a in range(lo, hi, step)]
 
 
-def _gl_counts_dict(counts):
-    out = {}
-    for idx in range(8):
-        p, l, e = idx & 1, (idx >> 1) & 1, (idx >> 2) & 1
-        out[f"pres={p},lie={l},exidem={e}"] = int(counts[idx])
-    return out
+def _stack(parts, dim):
+    return np.concatenate(parts) if parts else np.empty((0, dim), dtype=np.int64)
+
+
+def _sweep_range(tab, lo, hi, want_lie, want_exidem, flag_counts, out):
+    """Flag the maps in GL whose first column code lies in [lo, hi): add
+    their flag counts to ``flag_counts`` and append their preserver, Lie and
+    mismatch rows to the three lists in ``out``. A call per range frees the
+    range's last block before the next range builds its frontier."""
+    pres_parts, lie_parts, mism_parts = out
+    for cols in _gl_blocks(tab, lo, hi):
+        off = np.zeros(len(cols), dtype=bool)
+        pres = _preserves_potents(tab, cols)
+        lie = _keeps_products(tab, cols, lie=True) if want_lie else off
+        exid = _idempotent_diagonal(tab, cols) if want_exidem else off
+        _tally(flag_counts, pres, lie, exid)
+        pres_parts.append(cols[pres])
+        if want_lie:
+            lie_parts.append(cols[lie])
+        if want_lie and want_exidem:
+            mism_parts.append(cols[pres != (lie & exid)])
 
 
 def sweep_gl(P, F, k, want_lie=False, want_exidem=False, workers=None,
-             backend=None, budget=DEFAULT_BUDGET, cap=1 << 20):
-    """Enumerate GL(dim, q) and flag every map. Deterministic: results are
-    merged in ascending first-column ranges regardless of worker count."""
-    backend = _require_backend(backend)
+             backend=None, budget=DEFAULT_BUDGET):
+    """Enumerate GL(dim, q) and flag every map.
+
+    ``workers`` is the number of first-column ranges, swept one after
+    another; more ranges keep a smaller frontier in memory at a time. The
+    results are the same for every count. ``backend`` accepts only None or
+    "numpy"."""
+    _check_backend(backend)
     tab = build_sweep_tables(P, F, k, budget=budget)
     if workers is None:
         workers = os.cpu_count() or 1
     ranges = _split_ranges(1, tab.space, workers)
     t0 = time.perf_counter()
 
-    chunk_results = []
-    if backend == "numba":
-        def run_chunk(rng):
-            lo, hi = rng
-            counts = np.zeros(9, dtype=np.int64)
-            pres_buf = np.empty((cap, tab.dim), dtype=np.int64)
-            lie_buf = np.empty((cap if want_lie else 0, tab.dim), dtype=np.int64)
-            mism_buf = np.empty((64, tab.dim), dtype=np.int64)
-            if tab.q == 2:
-                got = _gl_sweep_nb_gf2(
-                    tab.dim, tab.space, tab.n, tab.conv, tab.pot_codes,
-                    tab.pot_lookup, lo, hi, int(want_lie), int(want_exidem),
-                    pres_buf, lie_buf, mism_buf, counts)
-            else:
-                got = _gl_sweep_nb(
-                    tab.dim, tab.q, tab.space, tab.n, tab.dig, tab.vec_add,
-                    tab.vec_smul, tab.vec_neg, tab.conv, tab.lie_b,
-                    tab.pot_codes, tab.pot_lookup, lo, hi,
-                    int(want_lie), int(want_exidem),
-                    pres_buf, lie_buf, mism_buf, counts)
-            n_pres, n_lie, n_mism = got
-            if n_pres > cap or (want_lie and n_lie > cap):
-                raise BudgetExceeded(
-                    f"flagged-map buffer overflow ({max(n_pres, n_lie)} rows)",
-                    required=max(n_pres, n_lie))
-            return (counts, pres_buf[:n_pres].copy(), lie_buf[:n_lie].copy(),
-                    mism_buf[:min(n_mism, 64)].copy())
-
-        if len(ranges) == 1:
-            chunk_results.append(run_chunk(ranges[0]))
-        else:
-            with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-                chunk_results = list(pool.map(run_chunk, ranges))
-    else:
-        for lo, hi in ranges:
-            counts = np.zeros(9, dtype=np.int64)
-            pres_out, lie_out, mism_out = [], [], []
-            n_pres, n_lie, n_mism = _gl_sweep_np(
-                tab, lo, hi, want_lie, want_exidem,
-                pres_out, lie_out, mism_out, counts)
-            empty = np.empty((0, tab.dim), dtype=np.int64)
-            cat = (lambda lst: np.concatenate(lst) if lst else empty)
-            chunk_results.append((counts, cat(pres_out), cat(lie_out),
-                                  cat(mism_out)))
-
-    counts = np.zeros(9, dtype=np.int64)
-    pres_parts, lie_parts, mism_parts = [], [], []
-    for c, p, l, m in chunk_results:
-        counts += c
-        pres_parts.append(p)
-        lie_parts.append(l)
-        mism_parts.append(m)
-    empty = np.empty((0, tab.dim), dtype=np.int64)
-    pres = np.concatenate(pres_parts) if pres_parts else empty
-    lie = np.concatenate(lie_parts) if lie_parts else empty
-    mism = np.concatenate(mism_parts) if mism_parts else empty
-    return SweepResult(backend, len(ranges), int(counts[8]),
-                       _gl_counts_dict(counts), pres, lie, mism,
-                       time.perf_counter() - t0)
+    flag_counts = np.zeros(8, dtype=np.int64)
+    out = ([], [], [])
+    for lo, hi in ranges:
+        _sweep_range(tab, lo, hi, want_lie, want_exidem, flag_counts, out)
+    pres, lie, mism = (_stack(parts, tab.dim) for parts in out)
+    return SweepResult(len(ranges), int(flag_counts.sum()), flag_counts,
+                       pres, lie, mism, time.perf_counter() - t0)
 
 
 FULL_SCAN_CAP = 1 << 20
 
 
 def full_scan(P, F, k, want_circ=True, want_exidem=False, workers=None,
-              backend=None, budget=DEFAULT_BUDGET, cap=1 << 17):
+              backend=None, budget=DEFAULT_BUDGET):
     """Flag every linear map (not only the bijective ones). The map space is
-    space^dim, so this stays confined to very small instances."""
-    backend = _require_backend(backend)
+    space^dim, so this stays confined to very small instances. ``workers``
+    is the number of map-code ranges, swept one after another."""
+    _check_backend(backend)
     tab = build_sweep_tables(P, F, k, budget=budget)
     total = tab.space ** tab.dim
     if total > FULL_SCAN_CAP:
@@ -769,57 +388,22 @@ def full_scan(P, F, k, want_circ=True, want_exidem=False, workers=None,
             f"full map space has {total} elements, cap is {FULL_SCAN_CAP}",
             required=total)
     if tab.space > 64:
-        # the numpy lane tracks spans in a 64-bit mask; keep lanes comparable
+        # spans are tracked in a 64-bit mask
         raise BudgetExceeded(f"full scan supports space <= 64, got {tab.space}")
     if workers is None:
         workers = os.cpu_count() or 1
     ranges = _split_ranges(0, total, workers)
     t0 = time.perf_counter()
 
-    counts = np.zeros(17, dtype=np.int64)
+    flag_counts = np.zeros(16, dtype=np.int64)
     pres_parts = []
-    if backend == "numba":
-        q = tab.q
-        addt, mult = tab.field.add_np, tab.field.mul_np
-        negt = np.array([tab.field.neg(c) for c in range(q)], dtype=np.uint8)
-        invt = np.zeros(q, dtype=np.uint8)
-        for c in range(1, q):
-            invt[c] = tab.field.inv(c)
-
-        def run_chunk(rng):
-            lo, hi = rng
-            cts = np.zeros(17, dtype=np.int64)
-            pres_buf = np.empty((cap, tab.dim), dtype=np.int64)
-            n_pres = _full_scan_nb(
-                tab.dim, tab.space, tab.n, tab.dig, tab.vec_add,
-                tab.vec_smul, tab.conv, tab.circ_b, addt, mult, negt, invt,
-                tab.pot_codes, tab.pot_lookup, lo, hi,
-                int(want_circ), int(want_exidem), pres_buf, cts)
-            if n_pres > cap:
-                raise BudgetExceeded(f"preserver buffer overflow ({n_pres})",
-                                     required=n_pres)
-            return cts, pres_buf[:n_pres].copy()
-
-        if len(ranges) == 1:
-            results = [run_chunk(ranges[0])]
-        else:
-            with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-                results = list(pool.map(run_chunk, ranges))
-        for cts, p in results:
-            counts += cts
-            pres_parts.append(p)
-    else:
-        for lo, hi in ranges:
-            pres_out = []
-            _full_scan_np(tab, lo, hi, want_circ, want_exidem, pres_out, counts)
-            if pres_out:
-                pres_parts.append(np.concatenate(pres_out))
-
-    empty = np.empty((0, tab.dim), dtype=np.int64)
-    pres = np.concatenate(pres_parts) if pres_parts else empty
-    cdict = {}
-    for idx in range(16):
-        b, p, c, e = idx & 1, (idx >> 1) & 1, (idx >> 2) & 1, (idx >> 3) & 1
-        cdict[f"bij={b},pres={p},circ={c},exidem={e}"] = int(counts[idx])
-    return FullScanResult(backend, len(ranges), int(counts[16]), cdict, pres,
-                          time.perf_counter() - t0)
+    for lo, hi in ranges:
+        for cols, bij in _full_blocks(tab, lo, hi):
+            off = np.zeros(len(cols), dtype=bool)
+            pres = _preserves_potents(tab, cols)
+            circ = _keeps_products(tab, cols, lie=False) if want_circ else off
+            exid = _idempotent_diagonal(tab, cols) if want_exidem else off
+            _tally(flag_counts, bij, pres, circ, exid)
+            pres_parts.append(cols[pres])
+    return FullScanResult(len(ranges), int(flag_counts.sum()), flag_counts,
+                          _stack(pres_parts, tab.dim), time.perf_counter() - t0)

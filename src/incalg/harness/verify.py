@@ -1,11 +1,17 @@
 """Exhaustive verification of the classification statements at desk scale.
 
-Each verifier sweeps every bijective map on I(X, F), collects the k-potent
-preservers, rebuilds the family the corresponding theorem predicts from its
-published ingredients, and compares the two as sets of column-code tuples.
-A handful of preservers are then pushed through the constructive
-factorization as a spot check. Reports never raise on mismatch; the caller
-reads the match flag.
+Every statement is checked by one recipe: sweep every bijective map on
+I(X, F), collect the k-potent preservers, rebuild the family the statement
+predicts from its published ingredients, and compare the two as sets of
+column-code tuples (or, for Lie maps with idempotent diagonal images,
+compare the sweep's flags map by map). A handful of preservers are then
+pushed through the constructive factorization as a spot check. What differs
+between the statements is one row of ``_STATEMENTS``. Reports never raise on
+mismatch; the caller reads the match flag.
+
+The rows call the sweep, the family builders and the decomposers through
+this module's global names at call time, so a wrapper installed on those
+names sees every call.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -16,13 +22,12 @@ from ..algebra import is_k_potent
 from ..classify import jordan_decompose, scalar_split, z2_decompose
 from ..errors import IncalgError
 from ..field import primitive_root_of_unity
-from ..linmaps import identity_map, is_k_potent_preserver, is_lie_homomorphism
+from ..linmaps import identity_map, is_lie_homomorphism
 from ..potents import DEFAULT_BUDGET
 from .families import bijective_shifts, jordan_like_maps, scaled_maps
-from .kernels import (build_sweep_tables, codes_of_linmap, linmap_from_codes,
-                      sweep_gl)
+from .kernels import (build_sweep_tables, codes_of_linmap, image_codes,
+                      linmap_from_codes, sweep_gl)
 
-THEOREMS = ("z2", "char-ne-2", "char-2-big", "tripotent", "kpotent")
 SPOT_DEFAULT = 24
 
 
@@ -32,7 +37,6 @@ class SweepReport:
     poset: dict
     field: str
     k: int
-    backend: str
     workers: int
     n_maps: int
     counts: dict
@@ -49,7 +53,6 @@ class SweepReport:
             "poset": self.poset,
             "field": self.field,
             "k": self.k,
-            "backend": self.backend,
             "workers": self.workers,
             "maps_swept": self.n_maps,
             "counts": self.counts,
@@ -78,186 +81,148 @@ def _spot_indices(n, spot):
     return [i * step for i in range(spot)]
 
 
-def _code_action(tab, phi):
-    """Image code of every coefficient vector under phi, as one table."""
-    cols = codes_of_linmap(phi)
-    out = np.zeros(tab.space, dtype=np.int64)
-    for j in range(tab.dim):
-        dj = tab.dig[:, j].astype(np.int64)
-        out = tab.vec_add[out, tab.vec_smul[dj, cols[j]]]
-    return out
+# --- field preconditions: raise ValueError outside the statement's regime ---
+
+def _need_gf2(F, k):
+    if not (F.is_finite() and F.q == 2):
+        raise ValueError("the shift-and-Lie statement is specific to the "
+                         "two-element field")
 
 
-def verify_theorem(theorem, P, F, k=None, workers=None, backend=None,
-                   budget=DEFAULT_BUDGET, spot=SPOT_DEFAULT):
-    if theorem not in THEOREMS:
-        raise ValueError(f"unknown theorem {theorem!r}; choose from {THEOREMS}")
-    if theorem == "tripotent":
-        k = 3
-    elif theorem in ("z2", "char-ne-2", "char-2-big"):
-        k = 2
-    elif k is None:
-        raise ValueError("kpotent verification needs an explicit k")
+def _need_char_ne_2(F, k):
+    if F.char == 2:
+        raise ValueError("this statement needs characteristic != 2")
 
-    if theorem == "z2":
-        if not (F.is_finite() and F.q == 2):
-            raise ValueError("the shift-and-Lie statement is specific to the "
-                             "two-element field")
-        return _verify_z2(P, F, workers, backend, budget, spot)
-    if theorem == "char-ne-2":
-        if F.char == 2:
-            raise ValueError("this statement needs characteristic != 2")
-        return _verify_jordan(P, F, workers, backend, budget, spot)
-    if theorem == "char-2-big":
-        if not (F.is_finite() and F.char == 2 and F.q > 2):
-            raise ValueError("this statement needs characteristic 2 with "
-                             "more than two elements")
-        return _verify_char2_flags(P, F, workers, backend, budget, spot)
-    # tripotent / kpotent
+
+def _need_big_char_2(F, k):
+    if not (F.is_finite() and F.char == 2 and F.q > 2):
+        raise ValueError("this statement needs characteristic 2 with "
+                         "more than two elements")
+
+
+def _need_scalar_split(F, k):
     if k < 3:
         raise ValueError("scalar-split statements start at k = 3")
     if F.char != 0 and k % F.char == 0:
         raise ValueError(f"characteristic {F.char} divides k = {k}")
     primitive_root_of_unity(F, k - 1)  # raises NoPrimitiveRoot if absent
-    return _verify_scalar_split(theorem, P, F, k, workers, backend, budget,
-                                spot)
 
 
-def _verify_z2(P, F, workers, backend, budget, spot):
-    res = sweep_gl(P, F, 2, want_lie=True, workers=workers, backend=backend,
-                   budget=budget)
-    tab = build_sweep_tables(P, F, 2, budget=budget)
-    A = _rows_to_set(res.preservers)
+# --- predicted families: (set of column-code tuples, notes) ---
 
+def _shift_lie_family(P, F, k, res, budget):
+    tab = build_sweep_tables(P, F, k, budget=budget)
+    everything = np.arange(tab.space)
     shifts = bijective_shifts(P, F)
     fam = set()
     for s in shifts:
-        st = _code_action(tab, s)
-        fam.update(map(tuple, st[res.lie_maps].tolist()))
-    match = A == fam
-
-    samples, notes = [], []
-    idxs = _spot_indices(res.preservers.shape[0], spot)
-    for i in idxs:
-        codes = tuple(int(v) for v in res.preservers[i])
-        phi = linmap_from_codes(P, F, codes)
-        rec = {"map": list(codes)}
-        try:
-            fact = z2_decompose(phi, budget=budget)
-            rec["ok"] = True
-            rec["shift_is_identity"] = fact.shift == identity_map(P, F)
-        except IncalgError as e:
-            rec["ok"] = False
-            rec["error"] = f"{type(e).__name__}: {e}"
-            match = False
-        samples.append(rec)
-    notes.append(f"{len(shifts)} bijective shifts, "
-                 f"{res.lie_maps.shape[0]} bijective Lie endomorphisms")
-    return SweepReport("z2", describe_poset(P), F.flag(), 2, res.backend,
-                       res.workers, res.n_maps, res.counts, len(A), len(fam),
-                       match, res.elapsed_s, samples, notes)
+        action = image_codes(tab, everything, codes_of_linmap(s))
+        fam.update(map(tuple, action[res.lie_maps].tolist()))
+    return fam, [f"{len(shifts)} bijective shifts, "
+                 f"{res.lie_maps.shape[0]} bijective Lie endomorphisms"]
 
 
-def _verify_jordan(P, F, workers, backend, budget, spot):
-    res = sweep_gl(P, F, 2, workers=workers, backend=backend, budget=budget)
-    A = _rows_to_set(res.preservers)
-    fam = {codes_of_linmap(m) for m in jordan_like_maps(P, F).values()}
-    match = A == fam
-
-    samples = []
-    idxs = _spot_indices(res.preservers.shape[0], spot)
-    for i in idxs:
-        codes = tuple(int(v) for v in res.preservers[i])
-        phi = linmap_from_codes(P, F, codes)
-        rec = {"map": list(codes)}
-        try:
-            fact = jordan_decompose(phi)
-            rec["ok"] = True
-            rec["kind"] = fact.order_map.kind
-        except IncalgError as e:
-            rec["ok"] = False
-            rec["error"] = f"{type(e).__name__}: {e}"
-            match = False
-        samples.append(rec)
-    return SweepReport("char-ne-2", describe_poset(P), F.flag(), 2,
-                       res.backend, res.workers, res.n_maps, res.counts,
-                       len(A), len(fam), match, res.elapsed_s, samples, [])
+def _jordan_family(P, F, k, res, budget):
+    return {codes_of_linmap(m) for m in jordan_like_maps(P, F).values()}, []
 
 
-def _verify_char2_flags(P, F, workers, backend, budget, spot):
-    res = sweep_gl(P, F, 2, want_lie=True, want_exidem=True, workers=workers,
-                   backend=backend, budget=budget)
-    mismatches = 0
-    agree = 0
-    for key, val in res.counts.items():
-        flags = dict(part.split("=") for part in key.split(","))
-        p = flags["pres"] == "1"
-        le = flags["lie"] == "1" and flags["exidem"] == "1"
-        if p != le:
-            mismatches += val
-        elif p:
-            agree += val
-    match = mismatches == 0
+def _scaled_family(P, F, k, res, budget):
+    fam_maps = scaled_maps(jordan_like_maps(P, F).values(), F, k)
+    return {codes_of_linmap(m) for m in fam_maps.values()}, []
 
-    samples, notes = [], []
-    idxs = _spot_indices(res.preservers.shape[0], spot)
-    for i in idxs:
-        codes = tuple(int(v) for v in res.preservers[i])
-        phi = linmap_from_codes(P, F, codes)
-        exid = all(is_k_potent(phi.image(j), 2) for j in range(P.n))
-        rec = {"map": list(codes),
-               "lie": bool(is_lie_homomorphism(phi)),
-               "exidem": exid}
-        rec["ok"] = rec["lie"] and rec["exidem"]
-        if not rec["ok"]:
-            match = False
-        samples.append(rec)
-    for row in res.mismatches[:8]:
-        notes.append(f"mismatch witness: {list(int(v) for v in row)}")
+
+def _lie_idempotent_flags(res):
+    """Compare preserving with (Lie and idempotent diagonal images) on every
+    swept map. Returns (maps with both, match, notes)."""
+    pres = res.flag("pres")
+    predicted = res.flag("lie") & res.flag("exidem")
+    mismatches = int(res.flag_counts[pres != predicted].sum())
+    agree = int(res.flag_counts[(pres & predicted) == 1].sum())
+    notes = [f"mismatch witness: {list(int(v) for v in row)}"
+             for row in res.mismatches[:8]]
     notes.append(f"{mismatches} maps where preserving and "
                  "(Lie and idempotent images) disagree")
-    return SweepReport("char-2-big", describe_poset(P), F.flag(), 2,
-                       res.backend, res.workers, res.n_maps, res.counts,
-                       len(_rows_to_set(res.preservers)), agree, match,
-                       res.elapsed_s, samples, notes)
+    return agree, mismatches == 0, notes
 
 
-def _verify_scalar_split(theorem, P, F, k, workers, backend, budget, spot):
-    res = sweep_gl(P, F, k, workers=workers, backend=backend, budget=budget)
-    A = _rows_to_set(res.preservers)
-    fam_maps = scaled_maps(jordan_like_maps(P, F).values(), F, k)
-    fam = {codes_of_linmap(m) for m in fam_maps.values()}
-    match = A == fam
+# --- spot checks: the fields of one sample record, "ok" among them ---
+
+def _spot_z2(phi, k, budget):
+    fact = z2_decompose(phi, budget=budget)
+    return {"ok": True,
+            "shift_is_identity": fact.shift == identity_map(phi.poset,
+                                                            phi.field)}
+
+
+def _spot_jordan(phi, k, budget):
+    return {"ok": True, "kind": jordan_decompose(phi).order_map.kind}
+
+
+def _spot_lie_idempotent(phi, k, budget):
+    lie = bool(is_lie_homomorphism(phi))
+    exid = all(is_k_potent(phi.image(j), 2) for j in range(phi.poset.n))
+    return {"lie": lie, "exidem": exid, "ok": lie and exid}
+
+
+def _spot_scalar_split(phi, k, budget):
+    split = scalar_split(phi, k, budget=budget)
+    return {"ok": True, "r": phi.field.format(split.r.value),
+            "kind": split.psi_kind}
+
+
+@dataclass(frozen=True)
+class _Statement:
+    k: int | None       # fixed potency degree; None: the caller gives k
+    require: object     # require(F, k): the field precondition
+    want_lie: bool      # sweep flags
+    want_exidem: bool
+    family: object      # family(P, F, k, res, budget); None compares flags
+    spot: object        # spot(phi, k, budget): the fields of one sample
+
+
+_STATEMENTS = {
+    "z2": _Statement(2, _need_gf2, True, False, _shift_lie_family, _spot_z2),
+    "char-ne-2": _Statement(2, _need_char_ne_2, False, False, _jordan_family,
+                            _spot_jordan),
+    "char-2-big": _Statement(2, _need_big_char_2, True, True, None,
+                             _spot_lie_idempotent),
+    "tripotent": _Statement(3, _need_scalar_split, False, False,
+                            _scaled_family, _spot_scalar_split),
+    "kpotent": _Statement(None, _need_scalar_split, False, False,
+                          _scaled_family, _spot_scalar_split),
+}
+THEOREMS = tuple(_STATEMENTS)
+
+
+def verify_theorem(theorem, P, F, k=None, workers=None, backend=None,
+                   budget=DEFAULT_BUDGET, spot=SPOT_DEFAULT):
+    if theorem not in _STATEMENTS:
+        raise ValueError(f"unknown theorem {theorem!r}; choose from {THEOREMS}")
+    st = _STATEMENTS[theorem]
+    k = st.k or k
+    if k is None:
+        raise ValueError("kpotent verification needs an explicit k")
+    st.require(F, k)
+
+    res = sweep_gl(P, F, k, want_lie=st.want_lie, want_exidem=st.want_exidem,
+                   workers=workers, backend=backend, budget=budget)
+    preservers = _rows_to_set(res.preservers)
+    if st.family is None:
+        family_count, match, notes = _lie_idempotent_flags(res)
+    else:
+        fam, notes = st.family(P, F, k, res, budget)
+        family_count, match = len(fam), preservers == fam
 
     samples = []
-    idxs = _spot_indices(res.preservers.shape[0], spot)
-    for i in idxs:
+    for i in _spot_indices(res.preservers.shape[0], spot):
         codes = tuple(int(v) for v in res.preservers[i])
-        phi = linmap_from_codes(P, F, codes)
         rec = {"map": list(codes)}
         try:
-            split = scalar_split(phi, k, budget=budget)
-            rec["ok"] = True
-            rec["r"] = F.format(split.r.value)
-            rec["kind"] = split.psi_kind
+            rec.update(st.spot(linmap_from_codes(P, F, codes), k, budget))
         except IncalgError as e:
-            rec["ok"] = False
-            rec["error"] = f"{type(e).__name__}: {e}"
-            match = False
+            rec.update(ok=False, error=f"{type(e).__name__}: {e}")
+        match = match and rec["ok"]
         samples.append(rec)
-    return SweepReport(theorem, describe_poset(P), F.flag(), k, res.backend,
-                       res.workers, res.n_maps, res.counts, len(A), len(fam),
-                       match, res.elapsed_s, samples, [])
-
-
-def preserver_codes(P, F, k, workers=None, backend=None, budget=DEFAULT_BUDGET):
-    """Column-code tuples of every bijective k-potent preserver, in
-    enumeration order."""
-    res = sweep_gl(P, F, k, workers=workers, backend=backend, budget=budget)
-    return [tuple(int(v) for v in row) for row in res.preservers]
-
-
-def recheck_preserver(P, F, k, codes):
-    """Slow-path confirmation of a single sweep hit."""
-    phi = linmap_from_codes(P, F, codes)
-    return bool(is_k_potent_preserver(phi, k))
+    return SweepReport(theorem, describe_poset(P), F.flag(), k, res.workers,
+                       res.n_maps, res.counts, len(preservers), family_count,
+                       match, res.elapsed_s, samples, notes)

@@ -99,16 +99,6 @@ class Poset:
         return tuple(self.labels[z] for z in range(self.n)
                      if self._leq[i][z] and self._leq[z][j])
 
-    @property
-    def length(self):
-        """Longest chain, counted in covering steps."""
-        best = [1] * self.n
-        for j in range(self.n):
-            for i in range(j):
-                if self._leq[i][j]:
-                    best[j] = max(best[j], best[i] + 1)
-        return max(best) - 1
-
     def __eq__(self, other):
         return (isinstance(other, Poset)
                 and self.labels == other.labels and self._leq == other._leq)

@@ -2,6 +2,8 @@
 
 import io
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -40,6 +42,38 @@ def test_verify_budget_exit(capsys):
                     "--theorem", "char-ne-2")
     assert code == 2
     assert out["error"] == "BudgetExceeded"
+
+
+def test_verify_char2_big_flag_counts(capsys):
+    code, out = run(capsys, "verify", "--poset", "chain:2", "--field", "4",
+                    "--theorem", "char-2-big")
+    assert code == 0
+    assert list(out["counts"].items()) == [
+        ("pres=0,lie=0,exidem=0", 177864), ("pres=1,lie=0,exidem=0", 0),
+        ("pres=0,lie=1,exidem=0", 120), ("pres=1,lie=1,exidem=0", 0),
+        ("pres=0,lie=0,exidem=1", 3432), ("pres=1,lie=0,exidem=1", 0),
+        ("pres=0,lie=1,exidem=1", 0), ("pres=1,lie=1,exidem=1", 24)]
+
+
+@pytest.mark.parametrize("theorem,q,extra", [
+    ("z2", 2, []), ("char-ne-2", 3, []), ("char-2-big", 4, []),
+    ("tripotent", 5, []), ("kpotent", 7, ["--k", "4"])])
+def test_verify_one_point_poset(capsys, theorem, q, extra):
+    # GL(1, q) is the q - 1 nonzero scalars; each one is a single-column map
+    code, out = run(capsys, "verify", "--poset", "chain:1", "--field", str(q),
+                    "--theorem", theorem, *extra)
+    assert code == 0
+    assert out["match"] is True
+    assert out["maps_swept"] == q - 1
+    assert all(s["ok"] for s in out["samples"])
+
+
+def test_verify_rejects_numba_backend():
+    proc = subprocess.run(
+        [sys.executable, "-m", "incalg.cli", "verify", "--poset", "chain:2",
+         "--field", "2", "--theorem", "z2", "--backend", "numba"],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
 
 
 def test_decompose_scalar_multiple_of_identity(capsys, monkeypatch):

@@ -1,9 +1,6 @@
-"""Sweep kernels against the pure-Python oracle, and lane parity."""
+"""Sweep kernels against the pure-Python oracle."""
 
-import json
-import os
-import subprocess
-import sys
+import itertools
 
 import numpy as np
 import pytest
@@ -13,16 +10,11 @@ from incalg.field import GF
 from incalg.harness.families import (bijective_shifts, invertible_elements,
                                      jordan_like_maps, multiplicative_systems)
 from incalg.harness.gl import enumerate_gl, gl_order
-from incalg.harness.kernels import (backend_default, build_sweep_tables,
-                                    codes_of_linmap, full_scan,
-                                    linmap_from_codes, sweep_gl)
+from incalg.harness.kernels import (build_sweep_tables, codes_of_linmap,
+                                    full_scan, linmap_from_codes, sweep_gl)
 from incalg.harness.verify import verify_theorem
 from incalg.linmaps import is_bijective, is_k_potent_preserver
 from incalg.poset import chain, poset_from_relations
-
-HAVE_NUMBA = backend_default() == "numba"
-
-needs_numba = pytest.mark.skipif(not HAVE_NUMBA, reason="numba unavailable")
 
 
 def vee():
@@ -65,35 +57,6 @@ def test_sweep_preservers_match_python_oracle(q, k):
     got = [tuple(int(v) for v in row) for row in res.preservers]
     assert got == oracle
     assert res.n_maps == gl_order(P.dim, q)
-
-
-@needs_numba
-@pytest.mark.parametrize("q,k,flags", [(2, 2, (True, True)),
-                                       (3, 2, (False, False)),
-                                       (4, 2, (True, True)),
-                                       (5, 3, (False, False))])
-def test_backend_parity_gl_sweep(q, k, flags):
-    want_lie, want_exidem = flags
-    P, F = chain(2), GF(q)
-    a = sweep_gl(P, F, k, want_lie=want_lie, want_exidem=want_exidem,
-                 backend="numba")
-    b = sweep_gl(P, F, k, want_lie=want_lie, want_exidem=want_exidem,
-                 backend="numpy")
-    assert a.counts == b.counts
-    assert np.array_equal(a.preservers, b.preservers)
-    assert np.array_equal(a.lie_maps, b.lie_maps)
-    assert np.array_equal(a.mismatches, b.mismatches)
-
-
-@needs_numba
-@pytest.mark.parametrize("q", [2, 3])
-def test_backend_parity_full_scan(q):
-    P, F = chain(2), GF(q)
-    a = full_scan(P, F, 2, want_circ=True, want_exidem=True, backend="numba")
-    b = full_scan(P, F, 2, want_circ=True, want_exidem=True, backend="numpy")
-    assert a.counts == b.counts
-    assert np.array_equal(a.preservers, b.preservers)
-    assert a.n_maps == (q ** P.dim) ** P.dim
 
 
 def test_worker_partition_invariance():
@@ -156,9 +119,22 @@ def test_tables_cache_and_contents():
     assert np.array_equal(t1.vec_neg[t1.vec_neg], np.arange(27))
 
 
+def test_tables_budget_checked_before_cache():
+    # a budget too small for the coefficient space is refused whether or not
+    # the tables were already built with a larger one
+    P, F = chain(2), GF(3)
+    with pytest.raises(BudgetExceeded) as ei:
+        build_sweep_tables(P, F, 2, budget=10)
+    assert ei.value.required == 27
+    build_sweep_tables(P, F, 2)
+    with pytest.raises(BudgetExceeded) as ei:
+        build_sweep_tables(P, F, 2, budget=10)
+    assert ei.value.required == 27
+
+
 def test_codes_round_trip():
     P, F = chain(2), GF(5)
-    for m in list(enumerate_gl(P, F, budget=2 * 10 ** 6))[:100]:
+    for m in itertools.islice(enumerate_gl(P, F, budget=2 * 10 ** 6), 100):
         assert linmap_from_codes(P, F, codes_of_linmap(m)) == m
 
 
@@ -174,45 +150,6 @@ def test_verify_theorem_argument_validation():
         verify_theorem("kpotent", P, GF(5), k=5)  # char divides k
     with pytest.raises(ValueError):
         verify_theorem("no-such-theorem", P, GF(2))
-
-
-def test_numpy_fallback_selected_by_env_flag():
-    # a fresh interpreter with the flag set must pick the numpy lane and
-    # reproduce the numba counts
-    code = (
-        "import json\n"
-        "from incalg.poset import chain\n"
-        "from incalg.field import GF\n"
-        "from incalg.harness.kernels import backend_default, sweep_gl\n"
-        "res = sweep_gl(chain(2), GF(3), 2, want_lie=True)\n"
-        "print(json.dumps({'backend': backend_default(),"
-        " 'used': res.backend, 'counts': res.counts}))\n"
-    )
-    env = dict(os.environ, INCALG_NO_NUMBA="1")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    got = json.loads(out.stdout)
-    assert got["backend"] == "numpy"
-    assert got["used"] == "numpy"
-    here = sweep_gl(chain(2), GF(3), 2, want_lie=True)
-    assert got["counts"] == here.counts
-
-
-@needs_numba
-def test_numba_backend_request_fails_cleanly_when_disabled():
-    code = (
-        "from incalg.poset import chain\n"
-        "from incalg.field import GF\n"
-        "from incalg.harness.kernels import sweep_gl\n"
-        "try:\n"
-        "    sweep_gl(chain(2), GF(2), 2, backend='numba')\n"
-        "except ValueError as e:\n"
-        "    print('refused')\n"
-    )
-    env = dict(os.environ, INCALG_NO_NUMBA="1")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "refused"
 
 
 def test_verify_z2_on_vee_poset():

@@ -21,7 +21,6 @@ def test_chain_shape():
     assert P.n == 3 and P.n_strict == 3 and P.dim == 6
     assert P.leq(1, 3) and P.lt(1, 3) and not P.leq(3, 1)
     assert P.hasse_edges == ((1, 2), (2, 3))
-    assert P.length == 2
 
 
 def test_antichain_shape():
