@@ -176,9 +176,9 @@ def build_parser():
     p.add_argument("--theorem", required=True, choices=THEOREMS)
     p.add_argument("--k", type=int, default=None,
                    help="potency degree (kpotent only; others fix it)")
-    p.add_argument("--workers", type=int, default=None,
-                   help="number of first-column ranges, swept one after "
-                        "another (default: the CPU count)")
+    p.add_argument("--workers", type=int, default=1,
+                   help="number of first-column ranges, searched one after "
+                        "another (default: 1)")
     p.add_argument("--backend", choices=("numpy",), default=None)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--spot", type=int, default=24,

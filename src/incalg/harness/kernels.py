@@ -1,4 +1,4 @@
-"""Sweep kernels: enumerate GL(dim, q) or the full map space with per-map flags.
+"""Sweep kernels: search GL(dim, q), or scan the full map space, with per-map flags.
 
 Maps are dim-tuples of column codes, code = sum_j coeff_j q^j, reported in
 lexicographic order of their columns (first column slowest, candidate codes
@@ -9,23 +9,35 @@ ascending). Flags per map:
   circ       Jordan products of basis pairs are preserved (full scan only)
   exidem     the image of every diagonal basis element is idempotent
 
-The sweep is vectorized numpy. It enumerates GL level by level: a frontier
-row is a prefix of independent columns with a mask of their span, and the
-next level appends every code outside that span. The last level is expanded
-in blocks of frontier rows, and each block of complete maps is flagged at
-once. Per map flag combination the results keep an integer count, indexed by
-the flag bits.
+``sweep_gl`` is a level-pruned backtracking search, vectorized with numpy. A
+node at depth l is a prefix of l + 1 independent columns with a mask of their
+span; its children append every code outside that span. phi(t) depends only
+on the columns in supp(t), so at depth l a node is tested only against the
+potents whose highest support index is l and the Lie pairs that become
+decidable there. A node carries two alive flags, pres and (when asked for)
+lie. A node with both dead is dropped, and its prod_{i>l}(q^dim - q^i)
+completions are counted in closed form; the nodes that reach the last depth
+are the preservers and the Lie maps. The frontier is expanded depth first in
+chunks of nodes, which keeps the lexicographic order and bounds the working
+set.
+
+The results keep an integer count per flag combination, indexed by the flag
+bits. A map the search never reaches has pres = lie = 0; how many of those
+have idempotent diagonal images follows from the closed-form count of all
+such maps in GL.
+
+``full_scan`` flags every linear map, bijective or not, in blocks.
 """
 
-import os
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import BudgetExceeded, UnsupportedField
+from ..errors import BudgetExceeded, InternalConsistencyError, UnsupportedField
 from ..linmaps import LinMap
 from ..potents import DEFAULT_BUDGET, batch_convolve, potent_code_tables, space_digits
+from .gl import gl_order
 
 SWEEP_SPACE_CAP = 4096  # conv table is space^2 entries; sweeps stay desk-scale
 
@@ -148,9 +160,10 @@ def linmap_from_codes(P, F, codes):
 
 def image_codes(tab, t, cols, rows=Ellipsis):
     """Code of phi(t) for every map phi in ``cols[rows]``. ``cols`` is a
-    (maps, dim) array of column codes, or the dim column codes of one map;
-    ``t`` is one code, or an array of codes that broadcasts against the
-    selected maps."""
+    (maps, width) array of column codes, or the column codes of one map; a
+    prefix of width w serves every ``t`` supported on the first w basis
+    elements. ``t`` is one code, or an array of codes that broadcasts against
+    the selected maps."""
     cols = np.asarray(cols)
     digits = tab.dig[t]
     w = tab.vec_smul[digits[..., 0], cols[rows, 0]]
@@ -162,35 +175,41 @@ def image_codes(tab, t, cols, rows=Ellipsis):
     return w
 
 
-def _preserves_potents(tab, cols):
-    pres = np.zeros(len(cols), dtype=bool)
-    alive = np.arange(len(cols))
-    for t in tab.pot_codes:
+def _keep_potents(tab, cols, alive, codes):
+    """The rows of ``alive`` whose map sends every code in ``codes`` to a
+    k-potent."""
+    for t in codes:
         if alive.size == 0:
             break
         alive = alive[tab.pot_lookup[image_codes(tab, t, cols, alive)] != 0]
-    pres[alive] = True
-    return pres
+    return alive
 
 
-def _keeps_products(tab, cols, lie):
-    """True where phi keeps the product of every pair of basis elements: the
-    Lie bracket xy - yx (pairs a < b) when ``lie``, else the Jordan product
-    xy + yx (pairs a <= b)."""
+def _product_pairs(dim, lie):
+    """Basis pairs whose products decide the flag: a < b for the Lie bracket
+    xy - yx, a <= b for the Jordan product xy + yx."""
+    return [(a, b) for a in range(dim) for b in range(a + 1 if lie else a, dim)]
+
+
+def _keep_products(tab, cols, alive, pairs, lie):
+    """The rows of ``alive`` whose map keeps the product of every basis pair
+    in ``pairs``: the Lie bracket when ``lie``, else the Jordan product."""
     prod_b = tab.lie_b if lie else tab.circ_b
-    keep = np.zeros(len(cols), dtype=bool)
-    alive = np.arange(len(cols))
-    for a in range(tab.dim):
-        for b in range(a + 1 if lie else a, tab.dim):
-            if alive.size == 0:
-                break
-            ca, cb = cols[alive, a], cols[alive, b]
-            ba = tab.conv[cb, ca]
-            rhs = tab.vec_add[tab.conv[ca, cb], tab.vec_neg[ba] if lie else ba]
-            image = image_codes(tab, int(prod_b[a, b]), cols, alive)
-            alive = alive[image == rhs]
-    keep[alive] = True
-    return keep
+    for a, b in pairs:
+        if alive.size == 0:
+            break
+        ca, cb = cols[alive, a], cols[alive, b]
+        ba = tab.conv[cb, ca]
+        rhs = tab.vec_add[tab.conv[ca, cb], tab.vec_neg[ba] if lie else ba]
+        image = image_codes(tab, int(prod_b[a, b]), cols, alive)
+        alive = alive[image == rhs]
+    return alive
+
+
+def _mask(n, rows):
+    out = np.zeros(n, dtype=bool)
+    out[rows] = True
+    return out
 
 
 def _idempotent_diagonal(tab, cols):
@@ -218,27 +237,6 @@ def _grow_spans(tab, spans, cands):
         idx = tab.vec_add[shift[:, None], arange_sp[None, :]]
         grown |= np.take_along_axis(spans, idx, axis=1)
     return grown
-
-
-def _gl_blocks(tab, lo, hi):
-    """Blocks of the maps in GL whose first column code lies in [lo, hi), in
-    lexicographic order, each a (maps, dim) array of column codes."""
-    first = np.zeros(tab.space, dtype=bool)
-    first[max(lo, 1):hi] = True
-    prefixes = np.zeros((1, 0), dtype=np.int64)
-    spans = np.zeros((1, tab.space), dtype=bool)
-    spans[0, 0] = True  # the span of no columns
-    # level 0 confines the first column to [lo, hi)
-    for level in range(tab.dim - 1):
-        rows, cands = np.nonzero(~spans & first if level == 0 else ~spans)
-        prefixes = np.concatenate([prefixes[rows], cands[:, None]], axis=1)
-        spans = _grow_spans(tab, spans[rows], cands)
-
-    block = max(1, (1 << 21) // tab.space)
-    for p0 in range(0, prefixes.shape[0], block):
-        free = ~spans[p0:p0 + block]
-        rows, cands = np.nonzero(free & first if tab.dim == 1 else free)
-        yield np.concatenate([prefixes[p0 + rows], cands[:, None]], axis=1)
 
 
 def _full_blocks(tab, lo, hi):
@@ -275,6 +273,106 @@ def _full_blocks(tab, lo, hi):
         yield cols, bij
 
 
+def _root(tab):
+    """The frontier before any column is chosen: one empty prefix whose span
+    is {0}."""
+    spans = np.zeros((1, tab.space), dtype=bool)
+    spans[0, 0] = True
+    return np.zeros((1, 0), dtype=np.int64), spans
+
+
+def _completions(tab):
+    """completions[l] = prod_{i>l}(q^dim - q^i): the ways to finish a prefix
+    of l + 1 independent columns to a map in GL."""
+    out = [1] * tab.dim
+    for l in range(tab.dim - 2, -1, -1):
+        out[l] = out[l + 1] * (tab.space - tab.q ** (l + 1))
+    return out
+
+
+def _support_top(tab, code):
+    """Highest basis index in the support of ``code`` (0 for the zero code)."""
+    nonzero = np.flatnonzero(tab.dig[code])
+    return int(nonzero[-1]) if nonzero.size else 0
+
+
+def _idempotent_frames(tab):
+    """Ordered n-tuples of independent idempotent codes: the choices for the
+    diagonal columns of a map in GL with idempotent diagonal images."""
+    codes = np.arange(tab.space)
+    idem = tab.conv[codes, codes] == codes
+    _, spans = _root(tab)
+    count = 0
+    for depth in range(tab.n):
+        rows, cands = np.nonzero(~spans & idem)
+        count = len(rows)
+        if depth < tab.n - 1:
+            spans = _grow_spans(tab, spans[rows], cands)
+    return count
+
+
+_LEVEL_KEYS = ("visited", "pruned", "passed", "covered")
+_CHUNK_CELLS = 1 << 20  # frontier rows x space per expanded chunk
+
+
+class _Search:
+    """One level-pruned search of GL: the constraints decided at each depth,
+    the per-level counters, and the leaves found so far."""
+
+    def __init__(self, tab, want_lie):
+        self.tab = tab
+        self.want_lie = want_lie
+        self.pots = [[] for _ in range(tab.dim)]
+        for t in tab.pot_codes:
+            self.pots[_support_top(tab, t)].append(int(t))
+        self.pairs = [[] for _ in range(tab.dim)]
+        if want_lie:
+            for a, b in _product_pairs(tab.dim, lie=True):
+                depth = max(b, _support_top(tab, tab.lie_b[a, b]))
+                self.pairs[depth].append((a, b))
+        self.completions = _completions(tab)
+        self.chunk = max(1, _CHUNK_CELLS // tab.space)
+        self.levels = [dict.fromkeys(_LEVEL_KEYS, 0) for _ in range(tab.dim)]
+        self.leaves = []  # (maps, flags) pairs; flags[:, 0] pres, [:, 1] lie
+
+    def run(self, lo, hi):
+        """Search the maps whose first column code lies in [lo, hi)."""
+        first = np.zeros((1, self.tab.space), dtype=bool)
+        first[0, lo:hi] = True
+        prefixes, spans = _root(self.tab)
+        self._expand(0, prefixes, spans, np.array([[True, self.want_lie]]),
+                     first)
+
+    def _expand(self, depth, prefixes, spans, alive, allowed=True):
+        """Append every ``allowed`` code outside ``spans[r]`` to prefix r,
+        test the constraints decided at ``depth``, drop the nodes with no
+        alive flag, and descend into the rest chunk by chunk."""
+        tab = self.tab
+        rows, cands = np.nonzero(~spans & allowed)
+        cols = np.concatenate([prefixes[rows], cands[:, None]], axis=1)
+        alive = alive[rows]  # a child starts with its parent's flags
+        pres = _keep_potents(tab, cols, np.flatnonzero(alive[:, 0]),
+                             self.pots[depth])
+        lie = _keep_products(tab, cols, np.flatnonzero(alive[:, 1]),
+                             self.pairs[depth], lie=True)
+        flags = np.stack([_mask(len(cols), pres), _mask(len(cols), lie)],
+                         axis=1)
+        keep = np.flatnonzero(flags.any(axis=1))
+        level = self.levels[depth]
+        level["visited"] += len(cols)
+        level["passed"] += len(keep)
+        level["pruned"] += len(cols) - len(keep)
+        level["covered"] += (len(cols) - len(keep)) * self.completions[depth]
+        if depth == tab.dim - 1:
+            level["covered"] += len(keep)  # each leaf is one map
+            self.leaves.append((cols[keep], flags[keep]))
+            return
+        for c0 in range(0, len(keep), self.chunk):
+            part = keep[c0:c0 + self.chunk]
+            grown = _grow_spans(tab, spans[rows[part]], cands[part])
+            self._expand(depth + 1, cols[part], grown, flags[part])
+
+
 # --- drivers ---
 
 class _FlagCounts:
@@ -301,10 +399,11 @@ class SweepResult(_FlagCounts):
 
     workers: int
     n_maps: int
-    flag_counts: np.ndarray
+    flag_counts: np.ndarray  # Python ints: |GL| outgrows int64 quickly
     preservers: np.ndarray  # (n_pres, dim) column codes, enumeration order
     lie_maps: np.ndarray
-    mismatches: np.ndarray
+    mismatches: np.ndarray  # preservers xor (Lie and exidem), when both asked
+    levels: list  # per depth: nodes visited, pruned, passed; maps covered
     elapsed_s: float
 
 
@@ -329,53 +428,61 @@ def _stack(parts, dim):
     return np.concatenate(parts) if parts else np.empty((0, dim), dtype=np.int64)
 
 
-def _sweep_range(tab, lo, hi, want_lie, want_exidem, flag_counts, out):
-    """Flag the maps in GL whose first column code lies in [lo, hi): add
-    their flag counts to ``flag_counts`` and append their preserver, Lie and
-    mismatch rows to the three lists in ``out``. A call per range frees the
-    range's last block before the next range builds its frontier."""
-    pres_parts, lie_parts, mism_parts = out
-    for cols in _gl_blocks(tab, lo, hi):
-        off = np.zeros(len(cols), dtype=bool)
-        pres = _preserves_potents(tab, cols)
-        lie = _keeps_products(tab, cols, lie=True) if want_lie else off
-        exid = _idempotent_diagonal(tab, cols) if want_exidem else off
-        _tally(flag_counts, pres, lie, exid)
-        pres_parts.append(cols[pres])
-        if want_lie:
-            lie_parts.append(cols[lie])
-        if want_lie and want_exidem:
-            mism_parts.append(cols[pres != (lie & exid)])
-
-
-def sweep_gl(P, F, k, want_lie=False, want_exidem=False, workers=None,
+def sweep_gl(P, F, k, want_lie=False, want_exidem=False, workers=1,
              backend=None, budget=DEFAULT_BUDGET):
-    """Enumerate GL(dim, q) and flag every map.
+    """Search GL(dim, q) for the k-potent preservers (and the Lie maps when
+    ``want_lie``), and count every map of GL per flag combination.
 
-    ``workers`` is the number of first-column ranges, swept one after
-    another; more ranges keep a smaller frontier in memory at a time. The
-    results are the same for every count. ``backend`` accepts only None or
-    "numpy"."""
+    ``levels[l]`` holds the nodes visited, pruned and passed at depth l, and
+    the maps covered there: each pruned node's completions, plus one per
+    leaf at the last depth. The covered counts sum to n_maps = |GL|.
+    ``workers`` is the number of first-column ranges, searched one after
+    another; the results are the same for every count. ``backend`` accepts
+    only None or "numpy"."""
     _check_backend(backend)
     tab = build_sweep_tables(P, F, k, budget=budget)
-    if workers is None:
-        workers = os.cpu_count() or 1
-    ranges = _split_ranges(1, tab.space, workers)
     t0 = time.perf_counter()
-
-    flag_counts = np.zeros(8, dtype=np.int64)
-    out = ([], [], [])
+    search = _Search(tab, want_lie)
+    ranges = _split_ranges(1, tab.space, workers)
     for lo, hi in ranges:
-        _sweep_range(tab, lo, hi, want_lie, want_exidem, flag_counts, out)
-    pres, lie, mism = (_stack(parts, tab.dim) for parts in out)
-    return SweepResult(len(ranges), int(flag_counts.sum()), flag_counts,
-                       pres, lie, mism, time.perf_counter() - t0)
+        search.run(lo, hi)
+
+    cols = _stack([c for c, _ in search.leaves], tab.dim)
+    flags = _stack([f for _, f in search.leaves], 2).astype(bool)
+    pres, lie = flags[:, 0], flags[:, 1]
+    exid = (_idempotent_diagonal(tab, cols) if want_exidem
+            else np.zeros(len(cols), dtype=bool))
+    leaf_counts = np.zeros(8, dtype=np.int64)
+    _tally(leaf_counts, pres, lie, exid)
+    flag_counts = np.array(leaf_counts.tolist(), dtype=object)
+
+    n_maps = sum(level["covered"] for level in search.levels)
+    if n_maps != gl_order(tab.dim, tab.q):
+        raise InternalConsistencyError(
+            "pruned and enumerated maps do not add up to |GL|",
+            f"{n_maps} != {gl_order(tab.dim, tab.q)}")
+    # maps the search never reached: pres = lie = 0, and exidem = 1 exactly
+    # for those of the |E| maps with idempotent diagonal images it missed
+    unreached = n_maps - len(cols)
+    if want_exidem:
+        e_unreached = (_idempotent_frames(tab) * search.completions[tab.n - 1]
+                       - int(exid.sum()))
+        flag_counts[0b100] += e_unreached
+        unreached -= e_unreached
+    flag_counts[0] += unreached
+
+    none = np.empty((0, tab.dim), dtype=np.int64)
+    return SweepResult(
+        len(ranges), n_maps, flag_counts, cols[pres],
+        cols[lie] if want_lie else none,
+        cols[pres != (lie & exid)] if want_lie and want_exidem else none,
+        search.levels, time.perf_counter() - t0)
 
 
 FULL_SCAN_CAP = 1 << 20
 
 
-def full_scan(P, F, k, want_circ=True, want_exidem=False, workers=None,
+def full_scan(P, F, k, want_circ=True, want_exidem=False, workers=1,
               backend=None, budget=DEFAULT_BUDGET):
     """Flag every linear map (not only the bijective ones). The map space is
     space^dim, so this stays confined to very small instances. ``workers``
@@ -390,18 +497,21 @@ def full_scan(P, F, k, want_circ=True, want_exidem=False, workers=None,
     if tab.space > 64:
         # spans are tracked in a 64-bit mask
         raise BudgetExceeded(f"full scan supports space <= 64, got {tab.space}")
-    if workers is None:
-        workers = os.cpu_count() or 1
     ranges = _split_ranges(0, total, workers)
     t0 = time.perf_counter()
 
     flag_counts = np.zeros(16, dtype=np.int64)
     pres_parts = []
+    circ_pairs = _product_pairs(tab.dim, lie=False)
     for lo, hi in ranges:
         for cols, bij in _full_blocks(tab, lo, hi):
+            every = np.arange(len(cols))
             off = np.zeros(len(cols), dtype=bool)
-            pres = _preserves_potents(tab, cols)
-            circ = _keeps_products(tab, cols, lie=False) if want_circ else off
+            pres = _mask(len(cols), _keep_potents(tab, cols, every,
+                                                  tab.pot_codes))
+            circ = (_mask(len(cols), _keep_products(tab, cols, every,
+                                                    circ_pairs, lie=False))
+                    if want_circ else off)
             exid = _idempotent_diagonal(tab, cols) if want_exidem else off
             _tally(flag_counts, bij, pres, circ, exid)
             pres_parts.append(cols[pres])

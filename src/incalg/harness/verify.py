@@ -1,13 +1,14 @@
 """Exhaustive verification of the classification statements at desk scale.
 
-Every statement is checked by one recipe: sweep every bijective map on
-I(X, F), collect the k-potent preservers, rebuild the family the statement
-predicts from its published ingredients, and compare the two as sets of
-column-code tuples (or, for Lie maps with idempotent diagonal images,
-compare the sweep's flags map by map). A handful of preservers are then
-pushed through the constructive factorization as a spot check. What differs
-between the statements is one row of ``_STATEMENTS``. Reports never raise on
-mismatch; the caller reads the match flag.
+Every statement is checked by one recipe: search all bijective maps on
+I(X, F) (a pruned subtree is counted, not visited), collect the k-potent
+preservers, rebuild the family the statement predicts from its published
+ingredients, and compare the two as sets of column-code tuples (or, for Lie
+maps with idempotent diagonal images, compare the sweep's flags map by map).
+A handful of preservers are then pushed through the constructive
+factorization as a spot check. What differs between the statements is one row
+of ``_STATEMENTS``. Reports never raise on mismatch; the caller reads the
+match flag.
 
 The rows call the sweep, the family builders and the decomposers through
 this module's global names at call time, so a wrapper installed on those
@@ -44,6 +45,7 @@ class SweepReport:
     family_count: int
     match: bool
     elapsed_s: float
+    levels: list
     samples: list = dc_field(default_factory=list)
     notes: list = dc_field(default_factory=list)
 
@@ -56,6 +58,7 @@ class SweepReport:
             "workers": self.workers,
             "maps_swept": self.n_maps,
             "counts": self.counts,
+            "levels": self.levels,
             "preserver_count": self.preserver_count,
             "family_count": self.family_count,
             "match": self.match,
@@ -194,7 +197,7 @@ _STATEMENTS = {
 THEOREMS = tuple(_STATEMENTS)
 
 
-def verify_theorem(theorem, P, F, k=None, workers=None, backend=None,
+def verify_theorem(theorem, P, F, k=None, workers=1, backend=None,
                    budget=DEFAULT_BUDGET, spot=SPOT_DEFAULT):
     if theorem not in _STATEMENTS:
         raise ValueError(f"unknown theorem {theorem!r}; choose from {THEOREMS}")
@@ -225,4 +228,4 @@ def verify_theorem(theorem, P, F, k=None, workers=None, backend=None,
         samples.append(rec)
     return SweepReport(theorem, describe_poset(P), F.flag(), k, res.workers,
                        res.n_maps, res.counts, len(preservers), family_count,
-                       match, res.elapsed_s, samples, notes)
+                       match, res.elapsed_s, res.levels, samples, notes)

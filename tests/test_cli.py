@@ -44,15 +44,47 @@ def test_verify_budget_exit(capsys):
     assert out["error"] == "BudgetExceeded"
 
 
-def test_verify_char2_big_flag_counts(capsys):
-    code, out = run(capsys, "verify", "--poset", "chain:2", "--field", "4",
-                    "--theorem", "char-2-big")
+VEE_TEXT = "3\n1<2\n1<3"
+
+
+@pytest.mark.parametrize("poset,q,theorem,cells", [
+    # three flags: pres, lie and exidem all take part in the histogram
+    ("chain:2", 4, "char-2-big", [177864, 0, 120, 0, 3432, 0, 0, 24]),
+    # two flags: exidem is never asked for, so its cells stay 0
+    (VEE_TEXT, 2, "z2", [9_999_232, 96, 0, 32, 0, 0, 0, 0]),
+], ids=["char-2-big-chain2-gf4", "z2-vee-gf2"])
+def test_verify_flag_counts(capsys, poset, q, theorem, cells):
+    # the pruned search counts the maps it never reaches in closed form;
+    # every cell of the histogram must still be exact
+    code, out = run(capsys, "verify", "--poset", poset, "--field", str(q),
+                    "--theorem", theorem)
     assert code == 0
-    assert list(out["counts"].items()) == [
-        ("pres=0,lie=0,exidem=0", 177864), ("pres=1,lie=0,exidem=0", 0),
-        ("pres=0,lie=1,exidem=0", 120), ("pres=1,lie=1,exidem=0", 0),
-        ("pres=0,lie=0,exidem=1", 3432), ("pres=1,lie=0,exidem=1", 0),
-        ("pres=0,lie=1,exidem=1", 0), ("pres=1,lie=1,exidem=1", 24)]
+    keys = [",".join(f"{name}={(i >> b) & 1}"
+                     for b, name in enumerate(("pres", "lie", "exidem")))
+            for i in range(8)]
+    assert list(out["counts"].items()) == list(zip(keys, cells))
+    assert sum(cells) == out["maps_swept"]
+
+
+def test_verify_default_workers_is_one(capsys):
+    # the report must not depend on the machine's CPU count
+    code, out = run(capsys, "verify", "--poset", "chain:2", "--field", "3",
+                    "--theorem", "char-ne-2")
+    assert code == 0
+    assert out["workers"] == 1
+
+
+def test_verify_reports_levels(capsys):
+    code, out = run(capsys, "verify", "--poset", "chain:2", "--field", "5",
+                    "--theorem", "tripotent", "--workers", "3")
+    assert code == 0
+    assert out["workers"] == 3
+    levels = out["levels"]
+    assert len(levels) == 3  # one entry per column of a map
+    assert sum(lv["covered"] for lv in levels) == out["maps_swept"]
+    for lv in levels:
+        assert lv["visited"] == lv["pruned"] + lv["passed"]
+    assert levels[-1]["passed"] == out["preserver_count"]
 
 
 @pytest.mark.parametrize("theorem,q,extra", [

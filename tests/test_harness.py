@@ -11,9 +11,11 @@ from incalg.harness.families import (bijective_shifts, invertible_elements,
                                      jordan_like_maps, multiplicative_systems)
 from incalg.harness.gl import enumerate_gl, gl_order
 from incalg.harness.kernels import (build_sweep_tables, codes_of_linmap,
-                                    full_scan, linmap_from_codes, sweep_gl)
+                                    full_scan, image_codes, linmap_from_codes,
+                                    sweep_gl)
 from incalg.harness.verify import verify_theorem
-from incalg.linmaps import is_bijective, is_k_potent_preserver
+from incalg.linmaps import (is_bijective, is_k_potent_preserver,
+                            is_lie_homomorphism)
 from incalg.poset import chain, poset_from_relations
 
 
@@ -57,6 +59,66 @@ def test_sweep_preservers_match_python_oracle(q, k):
     got = [tuple(int(v) for v in row) for row in res.preservers]
     assert got == oracle
     assert res.n_maps == gl_order(P.dim, q)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_sweep_lie_maps_match_python_oracle(q):
+    # the Lie lane prunes on its own flag; it must find exactly the maps the
+    # pure-Python predicate accepts, in enumeration order
+    P, F = chain(2), GF(q)
+    res = sweep_gl(P, F, 2, want_lie=True)
+    oracle = [codes_of_linmap(m) for m in enumerate_gl(P, F)
+              if is_lie_homomorphism(m)]
+    got = [tuple(int(v) for v in row) for row in res.lie_maps]
+    assert got == oracle
+
+
+def test_sweep_char2_big_has_no_mismatches():
+    res = sweep_gl(chain(2), GF(4), 2, want_lie=True, want_exidem=True)
+    assert res.mismatches.shape == (0, 3)
+    assert len(res.preservers) == 24 and len(res.lie_maps) == 144
+
+
+def _map_keys(tab, cols):
+    """One integer per map: its column codes read in base ``space``."""
+    return (np.asarray(cols) * tab.space ** np.arange(tab.dim)).sum(axis=-1)
+
+
+@pytest.mark.parametrize("P,q,k,size", [(chain(2), 7, 4, 252),
+                                        (vee(), 2, 2, 128)],
+                         ids=["chain2-gf7-k4", "vee-gf2-k2"])
+def test_preservers_form_a_group_closed_under_roots(P, q, k, size):
+    # invariants that hold whatever the classification says: the bijective
+    # preservers of a finite set form a group, and r.phi preserves k-potents
+    # whenever r^(k-1) = 1
+    F = GF(q)
+    tab = build_sweep_tables(P, F, k)
+    pres = sweep_gl(P, F, k).preservers
+    assert len(pres) == size
+    keys = set(_map_keys(tab, pres).tolist())
+    assert int(_map_keys(tab, tab.basis)) in keys  # the identity
+    everything = np.arange(tab.space)
+    for phi in pres:
+        action = image_codes(tab, everything, phi)  # phi on every code
+        # phi o psi has columns phi(psi(e_j)), for every preserver psi
+        assert keys.issuperset(_map_keys(tab, action[pres]).tolist())
+        inverse = np.argsort(action)[tab.basis]
+        assert int(_map_keys(tab, inverse)) in keys
+    roots = [r for r in range(1, q) if F.pow_(r, k - 1) == F.one]
+    for r in roots:
+        assert keys.issuperset(_map_keys(tab, tab.vec_smul[r, pres]).tolist())
+
+
+def test_level_counters_cover_gl_for_every_partition():
+    P, F = chain(2), GF(5)
+    one = sweep_gl(P, F, 3, workers=1)
+    five = sweep_gl(P, F, 3, workers=5)
+    assert five.workers == 5
+    for res in (one, five):
+        assert sum(lv["covered"] for lv in res.levels) == res.n_maps
+        assert res.n_maps == gl_order(P.dim, 5)
+    assert one.levels == five.levels
+    assert one.levels[0]["visited"] == 5 ** 3 - 1  # every nonzero first column
 
 
 def test_worker_partition_invariance():
