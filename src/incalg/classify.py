@@ -152,6 +152,15 @@ def jordan_decompose(phi):
     return fact
 
 
+def _require_idempotent_preserver(phi, mode, budget):
+    """Raise NotIdempotentPreserver, naming the first idempotent whose image
+    is not idempotent, unless phi preserves idempotents."""
+    check = is_k_potent_preserver(phi, 2, mode=mode, budget=budget)
+    if not check:
+        raise NotIdempotentPreserver(
+            f"idempotent {check.witness!r} maps to a non-idempotent")
+
+
 def z2_decompose(phi, budget=DEFAULT_BUDGET):
     """Factor a bijective idempotent preserver over GF(2) as shift o lie."""
     P, F = phi.poset, phi.field
@@ -161,10 +170,7 @@ def z2_decompose(phi, budget=DEFAULT_BUDGET):
         raise DisconnectedPoset("factorization needs a connected poset")
     if not is_bijective(phi):
         raise HypothesesNotMet("factorization covers bijective maps only")
-    check = is_k_potent_preserver(phi, 2, mode="exhaustive", budget=budget)
-    if not check:
-        raise NotIdempotentPreserver(
-            f"idempotent {check.witness!r} maps to a non-idempotent")
+    _require_idempotent_preserver(phi, "exhaustive", budget)
 
     alphas = [phi.image(i) for i in range(P.n)]
     beta = simultaneous_diagonalize(alphas)
@@ -335,16 +341,12 @@ def classify_preserver(phi, k, budget=DEFAULT_BUDGET):
         if F.char == 2:
             # char 2 with more than two scalars: certificate regime, no
             # automorphism/anti-automorphism factorization is attempted
-            check = is_k_potent_preserver(phi, 2, mode="exhaustive", budget=budget)
-            if not check:
-                raise NotIdempotentPreserver(
-                    f"idempotent {check.witness!r} maps to a non-idempotent")
-            bij = is_bijective(phi)
+            _require_idempotent_preserver(phi, "exhaustive", budget)
             lie = is_lie_homomorphism(phi)
             ex_idem = all(
                 convolve(phi.image(i), phi.image(i)) == phi.image(i)
                 for i in range(P.n))
-            if not (bij and lie and ex_idem):
+            if not (lie and ex_idem):
                 raise InternalConsistencyError(
                     "exhaustive idempotent preserver misses its certificate",
                     format_linmap(phi))
@@ -361,10 +363,7 @@ def classify_preserver(phi, k, budget=DEFAULT_BUDGET):
                        "e_x to an idempotent; no automorphism/anti-automorphism "
                        "factorization exists in general and none is attempted"])
         mode = "exhaustive" if F.is_finite() else "sampled"
-        check = is_k_potent_preserver(phi, 2, mode=mode, budget=budget)
-        if not check:
-            raise NotIdempotentPreserver(
-                f"idempotent {check.witness!r} maps to a non-idempotent")
+        _require_idempotent_preserver(phi, mode, budget)
         if mode == "sampled":
             notes.append("rational scalars: preserver check is the sampled "
                          "necessary condition, not an exhaustive proof")

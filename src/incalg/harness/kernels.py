@@ -1,4 +1,4 @@
-"""Sweep kernels: search GL(dim, q), or scan the full map space, with per-map flags.
+"""Sweep kernel: search GL(dim, q) with per-map flags.
 
 Maps are dim-tuples of column codes, code = sum_j coeff_j q^j, reported in
 lexicographic order of their columns (first column slowest, candidate codes
@@ -6,7 +6,6 @@ ascending). Flags per map:
 
   preserver  every k-potent code lands on a k-potent code
   lie        brackets of basis pairs are preserved
-  circ       Jordan products of basis pairs are preserved (full scan only)
   exidem     the image of every diagonal basis element is idempotent
 
 ``sweep_gl`` is a level-pruned backtracking search, vectorized with numpy. A
@@ -25,10 +24,9 @@ The results keep an integer count per flag combination, indexed by the flag
 bits. A map the search never reaches has pres = lie = 0; how many of those
 have idempotent diagonal images follows from the closed-form count of all
 such maps in GL.
-
-``full_scan`` flags every linear map, bijective or not, in blocks.
 """
 
+import itertools
 import time
 from dataclasses import dataclass
 
@@ -36,24 +34,16 @@ import numpy as np
 
 from ..errors import BudgetExceeded, InternalConsistencyError, UnsupportedField
 from ..linmaps import LinMap
-from ..potents import DEFAULT_BUDGET, batch_convolve, potent_code_tables, space_digits
+from ..potents import DEFAULT_BUDGET, batch_convolve, cached_potents, space_digits
 from .gl import gl_order
 
 SWEEP_SPACE_CAP = 4096  # conv table is space^2 entries; sweeps stay desk-scale
-
-
-def _check_backend(backend):
-    if backend not in (None, "numpy"):
-        raise ValueError(f"unknown backend {backend!r}; the sweep runs on numpy")
 
 
 # --- shared tables ---
 
 @dataclass
 class SweepTables:
-    poset: object
-    field: object
-    k: int
     dim: int
     n: int
     q: int
@@ -64,9 +54,7 @@ class SweepTables:
     vec_neg: np.ndarray    # (space,) int64
     conv: np.ndarray       # (space, space) int64, codewise convolution
     lie_b: np.ndarray      # (dim, dim) int64, codes of [e_a, e_b]
-    circ_b: np.ndarray     # (dim, dim) int64, codes of e_a o e_b
     basis: np.ndarray      # (dim,) int64, codes of basis vectors
-    delta_code: int
     pot_codes: np.ndarray  # (npot,) int64, k-potents in code order
     pot_lookup: np.ndarray  # (space,) uint8 membership
 
@@ -97,7 +85,7 @@ def build_sweep_tables(P, F, k, budget=DEFAULT_BUDGET):
     key = (P, F, k)
     if key in _TABLES_CACHE:
         return _TABLES_CACHE[key]
-    pot_codes, _, pot_lookup = potent_code_tables(P, F, k, budget=budget)
+    pots = cached_potents(P, F, k, budget=budget)
     _, dig = space_digits(P, F)
 
     add_np, mul_np = F.add_np, F.mul_np
@@ -112,18 +100,14 @@ def build_sweep_tables(P, F, k, budget=DEFAULT_BUDGET):
 
     basis = q ** np.arange(dim, dtype=np.int64)
     lie_b = np.zeros((dim, dim), dtype=np.int64)
-    circ_b = np.zeros((dim, dim), dtype=np.int64)
     for a in range(dim):
         for b in range(dim):
             ab = conv[basis[a], basis[b]]
             ba = conv[basis[b], basis[a]]
             lie_b[a, b] = vec_add[ab, vec_neg[ba]]
-            circ_b[a, b] = vec_add[ab, ba]
-    delta_code = int(basis[:P.n].sum())
 
-    tab = SweepTables(P, F, k, dim, P.n, q, space, dig, vec_add, vec_smul,
-                      vec_neg, conv, lie_b, circ_b, basis, delta_code,
-                      pot_codes, pot_lookup.astype(np.uint8))
+    tab = SweepTables(dim, P.n, q, space, dig, vec_add, vec_smul, vec_neg,
+                      conv, lie_b, basis, pots.codes, pots.lookup)
     _TABLES_CACHE[key] = tab
     return tab
 
@@ -185,23 +169,16 @@ def _keep_potents(tab, cols, alive, codes):
     return alive
 
 
-def _product_pairs(dim, lie):
-    """Basis pairs whose products decide the flag: a < b for the Lie bracket
-    xy - yx, a <= b for the Jordan product xy + yx."""
-    return [(a, b) for a in range(dim) for b in range(a + 1 if lie else a, dim)]
-
-
-def _keep_products(tab, cols, alive, pairs, lie):
-    """The rows of ``alive`` whose map keeps the product of every basis pair
-    in ``pairs``: the Lie bracket when ``lie``, else the Jordan product."""
-    prod_b = tab.lie_b if lie else tab.circ_b
+def _keep_brackets(tab, cols, alive, pairs):
+    """The rows of ``alive`` whose map keeps the Lie bracket of every basis
+    pair in ``pairs``."""
     for a, b in pairs:
         if alive.size == 0:
             break
         ca, cb = cols[alive, a], cols[alive, b]
         ba = tab.conv[cb, ca]
-        rhs = tab.vec_add[tab.conv[ca, cb], tab.vec_neg[ba] if lie else ba]
-        image = image_codes(tab, int(prod_b[a, b]), cols, alive)
+        rhs = tab.vec_add[tab.conv[ca, cb], tab.vec_neg[ba]]
+        image = image_codes(tab, int(tab.lie_b[a, b]), cols, alive)
         alive = alive[image == rhs]
     return alive
 
@@ -220,12 +197,6 @@ def _idempotent_diagonal(tab, cols):
     return exid
 
 
-def _tally(flag_counts, *flags):
-    """Add one count per map at the index whose bit i is flags[i]."""
-    idx = sum(f.astype(np.uint8) << i for i, f in enumerate(flags))
-    flag_counts += np.bincount(idx, minlength=flag_counts.size)
-
-
 # --- enumeration ---
 
 def _grow_spans(tab, spans, cands):
@@ -237,40 +208,6 @@ def _grow_spans(tab, spans, cands):
         idx = tab.vec_add[shift[:, None], arange_sp[None, :]]
         grown |= np.take_along_axis(spans, idx, axis=1)
     return grown
-
-
-def _full_blocks(tab, lo, hi):
-    """Blocks of the maps with map code in [lo, hi), map code = sum_j
-    cols[j] space^j, with an invertibility flag per map."""
-    space, dim = tab.space, tab.dim
-    block = 1 << 16
-    one = np.uint64(1)
-    for b0 in range(lo, hi, block):
-        mcodes = np.arange(b0, min(b0 + block, hi), dtype=np.int64)
-        M = mcodes.size
-        cols = np.empty((M, dim), dtype=np.int64)
-        mm = mcodes.copy()
-        for j in range(dim):
-            cols[:, j] = mm % space
-            mm //= space
-        # invertibility by span bitmask (space <= 64 by construction)
-        bits = np.full(M, one, dtype=np.uint64)  # span of no columns: {0}
-        bij = np.ones(M, dtype=bool)
-        for j in range(dim):
-            cj = cols[:, j]
-            bij &= (bits >> cj.astype(np.uint64)) & one == 0
-            grown = bits.copy()
-            for cc in range(1, tab.q):
-                # shift the span set by cc*col: bit v of the shifted mask is
-                # bit (v - cc*col) of the old mask; walk v through the add table
-                shifted = np.zeros(M, dtype=np.uint64)
-                for v in range(space):
-                    has = (bits >> np.uint64(v)) & one == 1
-                    tgt = tab.vec_add[v, tab.vec_smul[cc, cj]].astype(np.uint64)
-                    shifted |= np.where(has, one << tgt, np.uint64(0))
-                grown |= shifted
-            bits = grown
-        yield cols, bij
 
 
 def _root(tab):
@@ -327,7 +264,7 @@ class _Search:
             self.pots[_support_top(tab, t)].append(int(t))
         self.pairs = [[] for _ in range(tab.dim)]
         if want_lie:
-            for a, b in _product_pairs(tab.dim, lie=True):
+            for a, b in itertools.combinations(range(tab.dim), 2):
                 depth = max(b, _support_top(tab, tab.lie_b[a, b]))
                 self.pairs[depth].append((a, b))
         self.completions = _completions(tab)
@@ -353,8 +290,8 @@ class _Search:
         alive = alive[rows]  # a child starts with its parent's flags
         pres = _keep_potents(tab, cols, np.flatnonzero(alive[:, 0]),
                              self.pots[depth])
-        lie = _keep_products(tab, cols, np.flatnonzero(alive[:, 1]),
-                             self.pairs[depth], lie=True)
+        lie = _keep_brackets(tab, cols, np.flatnonzero(alive[:, 1]),
+                             self.pairs[depth])
         flags = np.stack([_mask(len(cols), pres), _mask(len(cols), lie)],
                          axis=1)
         keep = np.flatnonzero(flags.any(axis=1))
@@ -375,26 +312,11 @@ class _Search:
 
 # --- drivers ---
 
-class _FlagCounts:
-    """Counts per flag combination: ``flag_counts[i]`` counts the maps whose
-    flag ``FLAGS[b]`` is bit b of i."""
-
-    FLAGS = ()
-
-    def flag(self, name):
-        """Value (0 or 1) of flag ``name`` at each index of flag_counts."""
-        return (np.arange(self.flag_counts.size) >> self.FLAGS.index(name)) & 1
-
-    @property
-    def counts(self):
-        """The flag counts keyed like "pres=1,lie=0,exidem=1"."""
-        return {",".join(f"{name}={(i >> b) & 1}"
-                         for b, name in enumerate(self.FLAGS)): int(c)
-                for i, c in enumerate(self.flag_counts)}
-
-
 @dataclass
-class SweepResult(_FlagCounts):
+class SweepResult:
+    """``flag_counts[i]`` counts the maps whose flag ``FLAGS[b]`` is bit b
+    of i."""
+
     FLAGS = ("pres", "lie", "exidem")
 
     workers: int
@@ -406,16 +328,16 @@ class SweepResult(_FlagCounts):
     levels: list  # per depth: nodes visited, pruned, passed; maps covered
     elapsed_s: float
 
+    def flag(self, name):
+        """Value (0 or 1) of flag ``name`` at each index of flag_counts."""
+        return (np.arange(self.flag_counts.size) >> self.FLAGS.index(name)) & 1
 
-@dataclass
-class FullScanResult(_FlagCounts):
-    FLAGS = ("bij", "pres", "circ", "exidem")
-
-    workers: int
-    n_maps: int
-    flag_counts: np.ndarray
-    preservers: np.ndarray
-    elapsed_s: float
+    @property
+    def counts(self):
+        """The flag counts keyed like "pres=1,lie=0,exidem=1"."""
+        return {",".join(f"{name}={(i >> b) & 1}"
+                         for b, name in enumerate(self.FLAGS)): int(c)
+                for i, c in enumerate(self.flag_counts)}
 
 
 def _split_ranges(lo, hi, parts):
@@ -439,7 +361,8 @@ def sweep_gl(P, F, k, want_lie=False, want_exidem=False, workers=1,
     ``workers`` is the number of first-column ranges, searched one after
     another; the results are the same for every count. ``backend`` accepts
     only None or "numpy"."""
-    _check_backend(backend)
+    if backend not in (None, "numpy"):
+        raise ValueError(f"unknown backend {backend!r}; the sweep runs on numpy")
     tab = build_sweep_tables(P, F, k, budget=budget)
     t0 = time.perf_counter()
     search = _Search(tab, want_lie)
@@ -452,8 +375,8 @@ def sweep_gl(P, F, k, want_lie=False, want_exidem=False, workers=1,
     pres, lie = flags[:, 0], flags[:, 1]
     exid = (_idempotent_diagonal(tab, cols) if want_exidem
             else np.zeros(len(cols), dtype=bool))
-    leaf_counts = np.zeros(8, dtype=np.int64)
-    _tally(leaf_counts, pres, lie, exid)
+    # one count per leaf at the index whose bits are (pres, lie, exidem)
+    leaf_counts = np.bincount(pres | lie << 1 | exid << 2, minlength=8)
     flag_counts = np.array(leaf_counts.tolist(), dtype=object)
 
     n_maps = sum(level["covered"] for level in search.levels)
@@ -478,42 +401,3 @@ def sweep_gl(P, F, k, want_lie=False, want_exidem=False, workers=1,
         cols[pres != (lie & exid)] if want_lie and want_exidem else none,
         search.levels, time.perf_counter() - t0)
 
-
-FULL_SCAN_CAP = 1 << 20
-
-
-def full_scan(P, F, k, want_circ=True, want_exidem=False, workers=1,
-              backend=None, budget=DEFAULT_BUDGET):
-    """Flag every linear map (not only the bijective ones). The map space is
-    space^dim, so this stays confined to very small instances. ``workers``
-    is the number of map-code ranges, swept one after another."""
-    _check_backend(backend)
-    tab = build_sweep_tables(P, F, k, budget=budget)
-    total = tab.space ** tab.dim
-    if total > FULL_SCAN_CAP:
-        raise BudgetExceeded(
-            f"full map space has {total} elements, cap is {FULL_SCAN_CAP}",
-            required=total)
-    if tab.space > 64:
-        # spans are tracked in a 64-bit mask
-        raise BudgetExceeded(f"full scan supports space <= 64, got {tab.space}")
-    ranges = _split_ranges(0, total, workers)
-    t0 = time.perf_counter()
-
-    flag_counts = np.zeros(16, dtype=np.int64)
-    pres_parts = []
-    circ_pairs = _product_pairs(tab.dim, lie=False)
-    for lo, hi in ranges:
-        for cols, bij in _full_blocks(tab, lo, hi):
-            every = np.arange(len(cols))
-            off = np.zeros(len(cols), dtype=bool)
-            pres = _mask(len(cols), _keep_potents(tab, cols, every,
-                                                  tab.pot_codes))
-            circ = (_mask(len(cols), _keep_products(tab, cols, every,
-                                                    circ_pairs, lie=False))
-                    if want_circ else off)
-            exid = _idempotent_diagonal(tab, cols) if want_exidem else off
-            _tally(flag_counts, bij, pres, circ, exid)
-            pres_parts.append(cols[pres])
-    return FullScanResult(len(ranges), int(flag_counts.sum()), flag_counts,
-                          _stack(pres_parts, tab.dim), time.perf_counter() - t0)

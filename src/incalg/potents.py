@@ -50,12 +50,7 @@ def batch_convolve(A, B, P, F):
     return out
 
 
-def potent_code_tables(P, F, k, budget=DEFAULT_BUDGET):
-    """(codes, digits, lookup) for all k-potents, in code order.
-
-    codes: int64 codes of the k-potents; digits: their (npot, dim) digit
-    rows; lookup: uint8 membership table over the whole space.
-    """
+def _check_scan(P, F, k, budget):
     if not F.is_finite():
         raise UnsupportedField("exhaustive potent scan needs a finite field")
     if k < 2:
@@ -65,7 +60,16 @@ def potent_code_tables(P, F, k, budget=DEFAULT_BUDGET):
         raise BudgetExceeded(
             f"coefficient space has {space} elements, budget is {budget}",
             required=space)
-    space, dig = space_digits(P, F)
+
+
+def potent_code_tables(P, F, k, budget=DEFAULT_BUDGET):
+    """(codes, digits, lookup) for all k-potents, in code order.
+
+    codes: int64 codes of the k-potents; digits: their (npot, dim) digit
+    rows; lookup: uint8 membership table over the whole space.
+    """
+    _check_scan(P, F, k, budget)
+    _, dig = space_digits(P, F)
     fk = dig
     for _ in range(k - 1):
         fk = batch_convolve(fk, dig, P, F)
@@ -74,21 +78,34 @@ def potent_code_tables(P, F, k, budget=DEFAULT_BUDGET):
     return codes, dig[codes].copy(), mask.astype(np.uint8)
 
 
+@dataclass(frozen=True)
+class PotentTables:
+    codes: np.ndarray   # (npot,) int64, k-potents in code order
+    lookup: np.ndarray  # (space,) uint8 membership
+    elements: tuple     # the k-potents as IncElements, in code order
+
+
 _POTENT_CACHE = {}
 
 
-def _cached_tables(P, F, k, budget):
-    key = (P, F, k, budget)
+def cached_potents(P, F, k, budget=DEFAULT_BUDGET):
+    """The k-potents of I(P, F), scanned once per (P, F, k) and shared by the
+    sweep tables and ``enumerate_k_potents``. The budget is checked on every
+    call, before the lookup: the cache key has no budget in it."""
+    _check_scan(P, F, k, budget)
+    key = (P, F, k)
     if key not in _POTENT_CACHE:
-        _POTENT_CACHE[key] = potent_code_tables(P, F, k, budget)
+        codes, digits, lookup = potent_code_tables(P, F, k, budget)
+        elements = tuple(IncElement(P, F, [int(v) for v in row])
+                         for row in digits)
+        _POTENT_CACHE[key] = PotentTables(codes, lookup, elements)
     return _POTENT_CACHE[key]
 
 
 def enumerate_k_potents(P, F, k, budget=DEFAULT_BUDGET):
     """All f with f^k = f, in canonical code order. Finite fields only,
     refused (BudgetExceeded) when the coefficient space exceeds the budget."""
-    _, digits, _ = _cached_tables(P, F, k, budget)
-    return [IncElement(P, F, [int(v) for v in row]) for row in digits]
+    return list(cached_potents(P, F, k, budget).elements)
 
 
 def sample_k_potents(P, F, k, count, rng):

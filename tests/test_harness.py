@@ -1,21 +1,23 @@
 """Sweep kernels against the pure-Python oracle."""
 
 import itertools
+import sys
 
 import numpy as np
 import pytest
 
+from incalg import potents
 from incalg.errors import BudgetExceeded
 from incalg.field import GF
+from incalg.harness import kernels
 from incalg.harness.families import (bijective_shifts, invertible_elements,
                                      jordan_like_maps, multiplicative_systems)
 from incalg.harness.gl import enumerate_gl, gl_order
 from incalg.harness.kernels import (build_sweep_tables, codes_of_linmap,
-                                    full_scan, image_codes, linmap_from_codes,
-                                    sweep_gl)
+                                    image_codes, linmap_from_codes, sweep_gl)
 from incalg.harness.verify import verify_theorem
-from incalg.linmaps import (is_bijective, is_k_potent_preserver,
-                            is_lie_homomorphism)
+from incalg.linmaps import (LinMap, is_bijective, is_k_potent_preserver,
+                            is_lie_homomorphism, preserves_jordan_products)
 from incalg.poset import chain, poset_from_relations
 
 
@@ -130,27 +132,20 @@ def test_worker_partition_invariance():
     assert np.array_equal(one.lie_maps, many.lie_maps)
 
 
-def test_full_scan_counts_bijective_consistently():
-    P, F = chain(2), GF(2)
-    res = full_scan(P, F, 2)
-    n_bij = sum(v for key, v in res.counts.items() if "bij=1" in key)
-    assert n_bij == gl_order(P.dim, 2)
-    assert res.n_maps == 8 ** 3
-
-
-@pytest.mark.parametrize("q", [3, 4])
-def test_any_preserver_preserves_jordan_products(q):
-    # full map space, bijective or not: preserver and not circ never happens
+@pytest.mark.parametrize("q,size,bijective", [(3, 33, 12), (4, 100, 24)],
+                         ids=["3", "4"])
+def test_any_preserver_preserves_jordan_products(q, size, bijective):
+    # every linear map of the 2-chain, bijective or not: each idempotent
+    # preserver preserves Jordan products, and the class is strictly larger
+    # than its bijective part
     P, F = chain(2), GF(q)
-    res = full_scan(P, F, 2, want_circ=True)
-    offenders = sum(v for key, v in res.counts.items()
-                    if "pres=1" in key and "circ=0" in key)
-    assert offenders == 0
-    # and the preserver class is strictly larger than the bijective one
-    pres_total = sum(v for key, v in res.counts.items() if "pres=1" in key)
-    pres_bij = sum(v for key, v in res.counts.items()
-                   if "pres=1" in key and "bij=1" in key)
-    assert pres_total > pres_bij
+    columns = [list(col) for col in itertools.product(range(q), repeat=P.dim)]
+    pres = [m for m in (LinMap(P, F, cols)
+                        for cols in itertools.product(columns, repeat=P.dim))
+            if is_k_potent_preserver(m, 2)]
+    assert len(pres) == size
+    assert all(preserves_jordan_products(m) for m in pres)
+    assert sum(is_bijective(m) for m in pres) == bijective
 
 
 def test_sweep_budget_guard():
@@ -176,7 +171,6 @@ def test_tables_cache_and_contents():
     t2 = build_sweep_tables(P, F, 2)
     assert t1 is t2
     assert t1.space == 27
-    assert t1.delta_code == 1 + 3  # codes of e_1 and e_2
     # vector negation composed with itself is the identity
     assert np.array_equal(t1.vec_neg[t1.vec_neg], np.arange(27))
 
@@ -192,6 +186,28 @@ def test_tables_budget_checked_before_cache():
     with pytest.raises(BudgetExceeded) as ei:
         build_sweep_tables(P, F, 2, budget=10)
     assert ei.value.required == 27
+
+
+def test_cold_kpotent_verify_scans_potents_once(monkeypatch):
+    # the sweep tables and the spot checks' preserver predicate read one
+    # shared potent scan
+    monkeypatch.setattr(potents, "_POTENT_CACHE", {})
+    monkeypatch.setattr(kernels, "_TABLES_CACHE", {})
+    scan = potents.potent_code_tables
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[:3])
+        return scan(*args, **kwargs)
+
+    # patch the scanner wherever a module of the package holds it
+    for name, mod in list(sys.modules.items()):
+        if (name.startswith("incalg")
+                and getattr(mod, "potent_code_tables", None) is scan):
+            monkeypatch.setattr(mod, "potent_code_tables", counting)
+    report = verify_theorem("kpotent", chain(2), GF(5), k=3)
+    assert report.match and report.samples
+    assert calls == [(chain(2), GF(5), 3)]
 
 
 def test_codes_round_trip():

@@ -66,6 +66,16 @@ def test_enumerate_requires_finite_field_and_budget():
     assert ei.value.required == 7 ** 6
 
 
+def test_potent_budget_checked_after_cache_is_warm():
+    # the potent cache is keyed by (P, F, k) alone; a budget too small for
+    # the coefficient space is refused whether or not the scan was cached
+    P, F = chain(2), GF(5)
+    assert len(enumerate_k_potents(P, F, 3)) == 33
+    with pytest.raises(BudgetExceeded) as ei:
+        enumerate_k_potents(P, F, 3, budget=100)
+    assert ei.value.required == 125
+
+
 def test_spectral_decompose_every_tripotent_gf5():
     P, F = chain(2), GF(5)
     d = delta(P, F)
