@@ -14,6 +14,9 @@ Three pipelines, chosen by (k, field):
 
 Every pipeline recomposes its factors and compares against the input map
 exactly; a mismatch raises, never returns.
+
+regime_of is the one place that maps (field, k) to the statement that
+covers it; classify_preserver and the exhaustive verifier both ask it.
 """
 
 from dataclasses import dataclass
@@ -49,7 +52,6 @@ class JordanFactorization:
     sigma: IncElement
 
     def recompose(self):
-        P = self.inner_beta.poset
         F = self.inner_beta.field
         return compose(conjugation_map(self.inner_beta),
                        compose(order_induced_map(self.order_map, F),
@@ -281,6 +283,29 @@ def scalar_split(phi, k, mode="exhaustive", budget=DEFAULT_BUDGET):
 
 # --- dispatch and reporting ---
 
+def regime_of(F, k):
+    """The statement of the classification that covers k-potent preservers
+    over F: "z2", "char-2-big", "char-ne-2", "tripotent" or "kpotent".
+
+    Raises ValueError for k < 2, and UnsupportedRegime for k >= 3 when the
+    characteristic divides k or F has no primitive (k-1)-th root of unity.
+    """
+    if k < 2:
+        raise ValueError("k must be >= 2")
+    if k == 2:
+        if F.char != 2:
+            return "char-ne-2"
+        return "z2" if F.q == 2 else "char-2-big"
+    if F.char != 0 and k % F.char == 0:
+        raise UnsupportedRegime(
+            f"k = {k} is divisible by the characteristic {F.char}")
+    try:
+        primitive_root_of_unity(F, k - 1)
+    except NoPrimitiveRoot as e:
+        raise UnsupportedRegime(str(e)) from e
+    return "tripotent" if k == 3 else "kpotent"
+
+
 def _linmap_jsonable(phi):
     F = phi.field
     return {"field": F.flag(), "dim": phi.poset.dim,
@@ -289,6 +314,71 @@ def _linmap_jsonable(phi):
 
 def _element_jsonable(f):
     return [[x, y, c if isinstance(c, int) else str(c)] for x, y, c in f.to_triples()]
+
+
+def _jordan_factors(fact):
+    om = fact.order_map
+    return {"inner_beta": _element_jsonable(fact.inner_beta),
+            "order_map": {"mapping": {str(x): str(om(x))
+                                      for x in om.poset.labels},
+                          "kind": om.kind},
+            "sigma": _element_jsonable(fact.sigma)}
+
+
+# --- one certify function per regime: (certificates, factors, notes) ---
+
+def _certify_z2(phi, k, mode, budget):
+    fact = z2_decompose(phi, budget=budget)
+    return ({"bijective": True, "idempotent_preserver": mode,
+             "shift_is_shift_map": True, "lie_part_is_lie_automorphism": True},
+            {"shift": _linmap_jsonable(fact.shift),
+             "lie_part": _linmap_jsonable(fact.lie_part),
+             "inner_beta": _element_jsonable(fact.inner_beta)},
+            ["shift o lie_part recomposes to the input exactly"])
+
+
+def _certify_char_2_big(phi, k, mode, budget):
+    # certificates only: no automorphism/anti-automorphism factorization
+    # exists in general, so none is attempted
+    _require_idempotent_preserver(phi, mode, budget)
+    ex_idem = all(convolve(phi.image(i), phi.image(i)) == phi.image(i)
+                  for i in range(phi.poset.n))
+    if not (is_lie_homomorphism(phi) and ex_idem):
+        raise InternalConsistencyError(
+            "exhaustive idempotent preserver misses its certificate",
+            format_linmap(phi))
+    return ({"bijective": True, "idempotent_preserver": mode,
+             "lie_homomorphism": True, "diagonal_idempotent_images": True},
+            {}, ["maps in this regime are Lie automorphisms sending each "
+                 "e_x to an idempotent; no automorphism/anti-automorphism "
+                 "factorization exists in general and none is attempted"])
+
+
+def _certify_char_ne_2(phi, k, mode, budget):
+    _require_idempotent_preserver(phi, mode, budget)
+    fact = jordan_decompose(phi)
+    return ({"bijective": True, "idempotent_preserver": mode,
+             "jordan_homomorphism": True, "kind": fact.order_map.kind},
+            _jordan_factors(fact), [])
+
+
+def _certify_scalar_split(phi, k, mode, budget):
+    split = scalar_split(phi, k, mode=mode, budget=budget)
+    r = phi.field.format(split.r.value)
+    return ({"bijective": True, "potent_preserver": mode, "r": r,
+             "r_power_check": f"r^{k - 1} = 1", "psi_kind": split.psi_kind},
+            {"r": r, "psi": _linmap_jsonable(split.psi),
+             **_jordan_factors(split.factorization)},
+            [])
+
+
+_CERTIFY = {
+    "z2": _certify_z2,
+    "char-2-big": _certify_char_2_big,
+    "char-ne-2": _certify_char_ne_2,
+    "tripotent": _certify_scalar_split,
+    "kpotent": _certify_scalar_split,
+}
 
 
 @dataclass
@@ -313,109 +403,14 @@ def classify_preserver(phi, k, budget=DEFAULT_BUDGET):
     (k, field) regime is outside the classified territory.
     """
     P, F = phi.poset, phi.field
-    if k < 2:
-        raise ValueError("k must be >= 2")
+    regime = regime_of(F, k)
     if not is_connected(P):
         raise DisconnectedPoset("classification needs a connected poset")
     if not is_bijective(phi):
         raise HypothesesNotMet("classification covers bijective maps only")
-    notes = []
-
-    if k == 2:
-        if F.is_finite() and F.q == 2:
-            fact = z2_decompose(phi, budget=budget)
-            return ClassifyReport(
-                regime="z2", k=2, field=F.flag(),
-                certificates={
-                    "bijective": True,
-                    "idempotent_preserver": "exhaustive",
-                    "shift_is_shift_map": True,
-                    "lie_part_is_lie_automorphism": True,
-                },
-                factors={
-                    "shift": _linmap_jsonable(fact.shift),
-                    "lie_part": _linmap_jsonable(fact.lie_part),
-                    "inner_beta": _element_jsonable(fact.inner_beta),
-                },
-                notes=["shift o lie_part recomposes to the input exactly"])
-        if F.char == 2:
-            # char 2 with more than two scalars: certificate regime, no
-            # automorphism/anti-automorphism factorization is attempted
-            _require_idempotent_preserver(phi, "exhaustive", budget)
-            lie = is_lie_homomorphism(phi)
-            ex_idem = all(
-                convolve(phi.image(i), phi.image(i)) == phi.image(i)
-                for i in range(P.n))
-            if not (lie and ex_idem):
-                raise InternalConsistencyError(
-                    "exhaustive idempotent preserver misses its certificate",
-                    format_linmap(phi))
-            return ClassifyReport(
-                regime="char-2-big", k=2, field=F.flag(),
-                certificates={
-                    "bijective": True,
-                    "idempotent_preserver": "exhaustive",
-                    "lie_homomorphism": True,
-                    "diagonal_idempotent_images": True,
-                },
-                factors={},
-                notes=["maps in this regime are Lie automorphisms sending each "
-                       "e_x to an idempotent; no automorphism/anti-automorphism "
-                       "factorization exists in general and none is attempted"])
-        mode = "exhaustive" if F.is_finite() else "sampled"
-        _require_idempotent_preserver(phi, mode, budget)
-        if mode == "sampled":
-            notes.append("rational scalars: preserver check is the sampled "
-                         "necessary condition, not an exhaustive proof")
-        fact = jordan_decompose(phi)
-        kind = fact.order_map.kind
-        return ClassifyReport(
-            regime="char-ne-2", k=2, field=F.flag(),
-            certificates={
-                "bijective": True,
-                "idempotent_preserver": mode,
-                "jordan_homomorphism": True,
-                "kind": kind,
-            },
-            factors={
-                "inner_beta": _element_jsonable(fact.inner_beta),
-                "order_map": {"mapping": {str(x): str(fact.order_map(x))
-                                          for x in P.labels},
-                              "kind": kind},
-                "sigma": _element_jsonable(fact.sigma),
-            },
-            notes=notes)
-
-    # k >= 3
-    if F.char != 0 and k % F.char == 0:
-        raise UnsupportedRegime(
-            f"k = {k} is divisible by the characteristic {F.char}")
-    try:
-        primitive_root_of_unity(F, k - 1)
-    except NoPrimitiveRoot as e:
-        raise UnsupportedRegime(str(e)) from e
     mode = "exhaustive" if F.is_finite() else "sampled"
-    split = scalar_split(phi, k, mode=mode, budget=budget)
+    certificates, factors, notes = _CERTIFY[regime](phi, k, mode, budget)
     if mode == "sampled":
         notes.append("rational scalars: preserver check is the sampled "
                      "necessary condition, not an exhaustive proof")
-    fact = split.factorization
-    return ClassifyReport(
-        regime="tripotent" if k == 3 else "kpotent", k=k, field=F.flag(),
-        certificates={
-            "bijective": True,
-            "potent_preserver": mode,
-            "r": F.format(split.r.value),
-            "r_power_check": f"r^{k - 1} = 1",
-            "psi_kind": split.psi_kind,
-        },
-        factors={
-            "r": F.format(split.r.value),
-            "psi": _linmap_jsonable(split.psi),
-            "inner_beta": _element_jsonable(fact.inner_beta),
-            "order_map": {"mapping": {str(x): str(fact.order_map(x))
-                                      for x in P.labels},
-                          "kind": fact.order_map.kind},
-            "sigma": _element_jsonable(fact.sigma),
-        },
-        notes=notes)
+    return ClassifyReport(regime, k, F.flag(), certificates, factors, notes)

@@ -3,7 +3,8 @@
 Exit codes: 0 when the requested check or construction succeeded, 1 when a
 mathematical claim failed (a verification mismatch, a map outside the
 classified family, an element without the requested decomposition), 2 for
-requests outside the supported regimes or budgets.
+requests outside the supported regimes or budgets, and for a disconnected
+poset where the classification needs a connected one.
 """
 
 import argparse
@@ -14,18 +15,18 @@ import sys
 from .algebra import diagonal_part, from_triples
 from .classify import classify_preserver
 from .errors import (BudgetExceeded, ClaimFailed, DisconnectedPoset,
-                     IncalgError, NoPrimitiveRoot, UnsupportedField,
-                     UnsupportedRegime)
+                     IncalgError, NoPrimitiveRoot, UnsupportedField)
 from .field import field_from_flag
 from .harness.demos import DEMO_NAMES, run_all_demos, run_demo
-from .harness.verify import THEOREMS, verify_theorem
+from .harness.verify import SPOT_DEFAULT, THEOREMS, verify_theorem
 from .linmaps import parse_linmap
 from .poset import antichain, chain, parse_poset
 from .potents import (DEFAULT_BUDGET, conjugate_to_diagonal,
                       enumerate_k_potents, spectral_decompose)
 
-USAGE_ERRORS = (UnsupportedRegime, UnsupportedField, NoPrimitiveRoot,
-                DisconnectedPoset, ValueError)
+# ValueError covers UnsupportedRegime, which subclasses it
+USAGE_ERRORS = (UnsupportedField, NoPrimitiveRoot, DisconnectedPoset,
+                BudgetExceeded, ValueError)
 
 
 def _load_poset(spec):
@@ -75,8 +76,6 @@ def cmd_verify(args):
         report = verify_theorem(args.theorem, P, F, k=args.k,
                                 workers=args.workers, backend=args.backend,
                                 budget=args.budget, spot=args.spot)
-    except BudgetExceeded as e:
-        return _fail(e, 2)
     except USAGE_ERRORS as e:
         return _fail(e, 2)
     _emit(report.to_jsonable())
@@ -89,8 +88,6 @@ def cmd_decompose(args):
     phi = parse_linmap(P, F, _read_source(args.map))
     try:
         report = classify_preserver(phi, args.k, budget=args.budget)
-    except BudgetExceeded as e:
-        return _fail(e, 2)
     except USAGE_ERRORS as e:
         return _fail(e, 2)
     except IncalgError as e:
@@ -181,7 +178,7 @@ def build_parser():
                         "another (default: 1)")
     p.add_argument("--backend", choices=("numpy",), default=None)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--spot", type=int, default=24,
+    p.add_argument("--spot", type=int, default=SPOT_DEFAULT,
                    help="how many preservers to push through the factorization")
     p.set_defaults(func=cmd_verify)
 

@@ -117,8 +117,8 @@ class RootConditionFailed(IncalgError):
     pass
 
 
-class UnsupportedRegime(IncalgError):
-    pass
+class UnsupportedRegime(IncalgError, ValueError):
+    """(F, k) lies outside the statements the classification covers."""
 
 
 class DownstreamJordanFailure(IncalgError):

@@ -5,12 +5,14 @@ I(X, F) (a pruned subtree is counted, not visited), collect the k-potent
 preservers, rebuild the family the statement predicts from its published
 ingredients, and compare the two as sets of column-code tuples (or, for Lie
 maps with idempotent diagonal images, compare the sweep's flags map by map).
-A handful of preservers are then pushed through the constructive
-factorization as a spot check. What differs between the statements is one row
-of ``_STATEMENTS``. Reports never raise on mismatch; the caller reads the
-match flag.
+A handful of preservers are then pushed through ``classify_preserver`` as a
+spot check; each sample records the certificates it reports. Which statement
+applies to (F, k) is decided by ``classify.regime_of``; a row of
+``_STATEMENTS`` holds what differs between the statements: the fixed k, the
+regimes covered, the sweep flags and the family. Reports never raise on
+mismatch; the caller reads the match flag.
 
-The rows call the sweep, the family builders and the decomposers through
+The sweep, the family builders and ``classify_preserver`` are called through
 this module's global names at call time, so a wrapper installed on those
 names sees every call.
 """
@@ -19,11 +21,9 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from ..algebra import is_k_potent
-from ..classify import jordan_decompose, scalar_split, z2_decompose
-from ..errors import IncalgError
-from ..field import primitive_root_of_unity
-from ..linmaps import identity_map, is_lie_homomorphism
+from ..classify import classify_preserver, regime_of
+from ..errors import DisconnectedPoset, IncalgError
+from ..poset import is_connected
 from ..potents import DEFAULT_BUDGET
 from .families import bijective_shifts, jordan_like_maps, scaled_maps
 from .kernels import (build_sweep_tables, codes_of_linmap, image_codes,
@@ -84,33 +84,6 @@ def _spot_indices(n, spot):
     return [i * step for i in range(spot)]
 
 
-# --- field preconditions: raise ValueError outside the statement's regime ---
-
-def _need_gf2(F, k):
-    if not (F.is_finite() and F.q == 2):
-        raise ValueError("the shift-and-Lie statement is specific to the "
-                         "two-element field")
-
-
-def _need_char_ne_2(F, k):
-    if F.char == 2:
-        raise ValueError("this statement needs characteristic != 2")
-
-
-def _need_big_char_2(F, k):
-    if not (F.is_finite() and F.char == 2 and F.q > 2):
-        raise ValueError("this statement needs characteristic 2 with "
-                         "more than two elements")
-
-
-def _need_scalar_split(F, k):
-    if k < 3:
-        raise ValueError("scalar-split statements start at k = 3")
-    if F.char != 0 and k % F.char == 0:
-        raise ValueError(f"characteristic {F.char} divides k = {k}")
-    primitive_root_of_unity(F, k - 1)  # raises NoPrimitiveRoot if absent
-
-
 # --- predicted families: (set of column-code tuples, notes) ---
 
 def _shift_lie_family(P, F, k, res, budget):
@@ -148,51 +121,22 @@ def _lie_idempotent_flags(res):
     return agree, mismatches == 0, notes
 
 
-# --- spot checks: the fields of one sample record, "ok" among them ---
-
-def _spot_z2(phi, k, budget):
-    fact = z2_decompose(phi, budget=budget)
-    return {"ok": True,
-            "shift_is_identity": fact.shift == identity_map(phi.poset,
-                                                            phi.field)}
-
-
-def _spot_jordan(phi, k, budget):
-    return {"ok": True, "kind": jordan_decompose(phi).order_map.kind}
-
-
-def _spot_lie_idempotent(phi, k, budget):
-    lie = bool(is_lie_homomorphism(phi))
-    exid = all(is_k_potent(phi.image(j), 2) for j in range(phi.poset.n))
-    return {"lie": lie, "exidem": exid, "ok": lie and exid}
-
-
-def _spot_scalar_split(phi, k, budget):
-    split = scalar_split(phi, k, budget=budget)
-    return {"ok": True, "r": phi.field.format(split.r.value),
-            "kind": split.psi_kind}
-
-
 @dataclass(frozen=True)
 class _Statement:
     k: int | None       # fixed potency degree; None: the caller gives k
-    require: object     # require(F, k): the field precondition
+    regimes: tuple      # the values of classify.regime_of it covers
     want_lie: bool      # sweep flags
     want_exidem: bool
     family: object      # family(P, F, k, res, budget); None compares flags
-    spot: object        # spot(phi, k, budget): the fields of one sample
 
 
 _STATEMENTS = {
-    "z2": _Statement(2, _need_gf2, True, False, _shift_lie_family, _spot_z2),
-    "char-ne-2": _Statement(2, _need_char_ne_2, False, False, _jordan_family,
-                            _spot_jordan),
-    "char-2-big": _Statement(2, _need_big_char_2, True, True, None,
-                             _spot_lie_idempotent),
-    "tripotent": _Statement(3, _need_scalar_split, False, False,
-                            _scaled_family, _spot_scalar_split),
-    "kpotent": _Statement(None, _need_scalar_split, False, False,
-                          _scaled_family, _spot_scalar_split),
+    "z2": _Statement(2, ("z2",), True, False, _shift_lie_family),
+    "char-ne-2": _Statement(2, ("char-ne-2",), False, False, _jordan_family),
+    "char-2-big": _Statement(2, ("char-2-big",), True, True, None),
+    "tripotent": _Statement(3, ("tripotent",), False, False, _scaled_family),
+    "kpotent": _Statement(None, ("tripotent", "kpotent"), False, False,
+                          _scaled_family),
 }
 THEOREMS = tuple(_STATEMENTS)
 
@@ -205,7 +149,12 @@ def verify_theorem(theorem, P, F, k=None, workers=1, backend=None,
     k = st.k or k
     if k is None:
         raise ValueError("kpotent verification needs an explicit k")
-    st.require(F, k)
+    regime = regime_of(F, k)
+    if regime not in st.regimes:
+        raise ValueError(f"{theorem!r} does not cover {F!r} with k = {k}, "
+                         f"which is the {regime!r} regime")
+    if not is_connected(P):
+        raise DisconnectedPoset("the classification needs a connected poset")
 
     res = sweep_gl(P, F, k, want_lie=st.want_lie, want_exidem=st.want_exidem,
                    workers=workers, backend=backend, budget=budget)
@@ -221,7 +170,9 @@ def verify_theorem(theorem, P, F, k=None, workers=1, backend=None,
         codes = tuple(int(v) for v in res.preservers[i])
         rec = {"map": list(codes)}
         try:
-            rec.update(st.spot(linmap_from_codes(P, F, codes), k, budget))
+            rep = classify_preserver(linmap_from_codes(P, F, codes), k,
+                                     budget=budget)
+            rec.update(ok=True, certificates=rep.certificates)
         except IncalgError as e:
             rec.update(ok=False, error=f"{type(e).__name__}: {e}")
         match = match and rec["ok"]

@@ -495,7 +495,9 @@ def is_jordan_homomorphism(phi):
     return preserves_squares(phi) and is_jordan_triple_homomorphism(phi)
 
 
-def is_algebra_automorphism(phi):
+def _is_algebra_iso(phi, anti):
+    """Bijective, fixes delta and sends e_a e_b to phi(e_a) phi(e_b), or to
+    phi(e_b) phi(e_a) when anti."""
     if not is_bijective(phi):
         return False
     P, F = phi.poset, phi.field
@@ -505,24 +507,18 @@ def is_algebra_automorphism(phi):
     ims = [phi.image(j) for j in range(P.dim)]
     for a in range(len(es)):
         for b in range(len(es)):
-            if apply_map(phi, convolve(es[a], es[b])) != convolve(ims[a], ims[b]):
+            x, y = (ims[b], ims[a]) if anti else (ims[a], ims[b])
+            if apply_map(phi, convolve(es[a], es[b])) != convolve(x, y):
                 return False
     return True
+
+
+def is_algebra_automorphism(phi):
+    return _is_algebra_iso(phi, anti=False)
 
 
 def is_algebra_anti_automorphism(phi):
-    if not is_bijective(phi):
-        return False
-    P, F = phi.poset, phi.field
-    if apply_map(phi, delta(P, F)) != delta(P, F):
-        return False
-    es = _basis_elements(phi)
-    ims = [phi.image(j) for j in range(P.dim)]
-    for a in range(len(es)):
-        for b in range(len(es)):
-            if apply_map(phi, convolve(es[a], es[b])) != convolve(ims[b], ims[a]):
-                return False
-    return True
+    return _is_algebra_iso(phi, anti=True)
 
 
 def is_shift_map(phi, require_bijective=True):

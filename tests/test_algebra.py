@@ -14,7 +14,7 @@ from incalg.algebra import (IncElement, as_scalar_multiple_of_delta,
                             zero)
 from incalg.errors import NotInvertible, StructureMismatch
 from incalg.field import GF, QQ
-from incalg.poset import antichain, chain, poset_from_relations
+from incalg.poset import antichain, chain
 
 P3 = chain(3)
 F3 = GF(3)

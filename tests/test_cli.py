@@ -37,6 +37,17 @@ def test_verify_rejects_wrong_field_for_theorem(capsys):
     assert "error" in out
 
 
+@pytest.mark.parametrize("theorem,q", [("char-ne-2", 3), ("z2", 2),
+                                        ("char-2-big", 4)])
+def test_verify_refuses_disconnected_poset(capsys, theorem, q):
+    # the classification assumes X connected; an antichain is a usage error,
+    # not a failed claim
+    code, out = run(capsys, "verify", "--poset", "antichain:2", "--field",
+                    str(q), "--theorem", theorem)
+    assert code == 2
+    assert out["error"] == "DisconnectedPoset"
+
+
 def test_verify_budget_exit(capsys):
     code, out = run(capsys, "verify", "--poset", "chain:3", "--field", "7",
                     "--theorem", "char-ne-2")
@@ -161,6 +172,15 @@ def test_spectral_obstructed_input_exits_one(capsys):
                     "--k", "3", "--element", "[[1,1,1],[2,2,1],[1,2,1]]")
     assert code == 1
     assert out["error"] == "HypothesesNotMet"
+
+
+def test_spectral_budget_refusal_exits_two(capsys):
+    # diagonalizing a 22-potent means 21 idempotents, and the 2^21 products
+    # of the simultaneous diagonalization exceed its cap
+    code, out = run(capsys, "spectral", "--poset", "chain:1", "--field", "43",
+                    "--k", "22", "--element", "[[1,1,1]]")
+    assert code == 2
+    assert out["error"] == "BudgetExceeded"
 
 
 def test_demo_all(capsys):

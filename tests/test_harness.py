@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from incalg import potents
-from incalg.errors import BudgetExceeded
+from incalg.classify import classify_preserver, regime_of
+from incalg.errors import BudgetExceeded, UnsupportedRegime
 from incalg.field import GF
 from incalg.harness import kernels
 from incalg.harness.families import (bijective_shifts, invertible_elements,
@@ -15,7 +16,7 @@ from incalg.harness.families import (bijective_shifts, invertible_elements,
 from incalg.harness.gl import enumerate_gl, gl_order
 from incalg.harness.kernels import (build_sweep_tables, codes_of_linmap,
                                     image_codes, linmap_from_codes, sweep_gl)
-from incalg.harness.verify import verify_theorem
+from incalg.harness.verify import THEOREMS, verify_theorem
 from incalg.linmaps import (LinMap, is_bijective, is_k_potent_preserver,
                             is_lie_homomorphism, preserves_jordan_products)
 from incalg.poset import chain, poset_from_relations
@@ -228,6 +229,55 @@ def test_verify_theorem_argument_validation():
         verify_theorem("kpotent", P, GF(5), k=5)  # char divides k
     with pytest.raises(ValueError):
         verify_theorem("no-such-theorem", P, GF(2))
+
+
+# the statement that covers (GF(q), k), read off the paper's case split;
+# a pair missing here is outside every statement
+REGIMES = {(2, 2): "z2", (4, 2): "char-2-big", (8, 2): "char-2-big",
+           (3, 2): "char-ne-2", (5, 2): "char-ne-2", (7, 2): "char-ne-2",
+           (5, 3): "tripotent", (7, 3): "tripotent", (7, 4): "kpotent"}
+# theorem -> (its fixed k, None when the caller gives k; the regimes it covers)
+COVERS = {"z2": (2, {"z2"}), "char-ne-2": (2, {"char-ne-2"}),
+          "char-2-big": (2, {"char-2-big"}), "tripotent": (3, {"tripotent"}),
+          "kpotent": (None, {"tripotent", "kpotent"})}
+
+
+def _assert_samples_certified(P, F, k, report):
+    # each sample reports exactly what classify_preserver certifies
+    assert report.samples
+    for s in report.samples:
+        phi = linmap_from_codes(P, F, tuple(s["map"]))
+        assert s == {"map": s["map"], "ok": True, "certificates":
+                     classify_preserver(phi, k).certificates}
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_verify_refuses_exactly_outside_its_regimes(q, k):
+    F, P = GF(q), chain(1)
+    want = REGIMES.get((q, k))
+    if want is None:
+        with pytest.raises(UnsupportedRegime):
+            regime_of(F, k)
+    else:
+        assert regime_of(F, k) == want
+    assert set(COVERS) == set(THEOREMS)
+    for theorem, (fixed, regimes) in COVERS.items():
+        kk = fixed or k
+        if REGIMES.get((q, kk)) not in regimes:
+            with pytest.raises(ValueError):
+                verify_theorem(theorem, P, F, k=k)
+            continue
+        report = verify_theorem(theorem, P, F, k=k)
+        assert report.match and report.k == kk
+        _assert_samples_certified(P, F, kk, report)
+
+
+def test_verify_samples_carry_classify_certificates():
+    P, F = chain(2), GF(3)
+    report = verify_theorem("char-ne-2", P, F)
+    assert report.match and len(report.samples) == 12
+    _assert_samples_certified(P, F, 2, report)
 
 
 def test_verify_z2_on_vee_poset():

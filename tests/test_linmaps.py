@@ -4,8 +4,7 @@ import itertools
 
 import pytest
 
-from incalg.algebra import (basis_element, delta, e_A, from_triples,
-                            is_k_potent, try_inverse, zero)
+from incalg.algebra import basis_element, delta, from_triples, try_inverse
 from incalg.errors import (DimensionMismatch, Singular, StructureMismatch)
 from incalg.field import GF, QQ
 from incalg.linmaps import (LinMap, Subspace, apply_map, compose,

@@ -11,7 +11,7 @@ from incalg.algebra import (IncElement, basis_element, conjugate, convolve,
 from incalg.errors import (BudgetExceeded, HypothesesNotMet, NotCommuting,
                            NotIdempotent, NotKPotent, UnsupportedField)
 from incalg.field import GF, QQ, roots_of_unity
-from incalg.poset import chain, poset_from_relations
+from incalg.poset import chain
 from incalg.potents import (conjugate_to_diagonal, enumerate_k_potents,
                             is_primitive_idempotent, sample_k_potents,
                             simultaneous_diagonalize, spectral_decompose)
