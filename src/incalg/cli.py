@@ -4,11 +4,13 @@ Exit codes: 0 when the requested check or construction succeeded, 1 when a
 mathematical claim failed (a verification mismatch, a map outside the
 classified family, an element without the requested decomposition), 2 for
 requests outside the supported regimes or budgets, and for a disconnected
-poset where the classification needs a connected one.
+poset where the classification needs a connected one. A reader that closes
+stdout early does not change the exit code.
 """
 
 import argparse
 import json
+import os
 import pathlib
 import sys
 
@@ -55,8 +57,17 @@ def _read_source(path):
 
 
 def _emit(obj):
-    json.dump(obj, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    try:
+        json.dump(obj, sys.stdout, indent=2)
+        sys.stdout.write("\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (``| head``): the exit code still
+        # reports the outcome, and stdout now points at devnull so the flush
+        # at exit stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _fail(e, code):
@@ -172,7 +183,8 @@ def build_parser():
     add_common(p)
     p.add_argument("--theorem", required=True, choices=THEOREMS)
     p.add_argument("--k", type=int, default=None,
-                   help="potency degree (kpotent only; others fix it)")
+                   help="potency degree (kpotent only; the other theorems "
+                        "fix it and refuse a different one)")
     p.add_argument("--workers", type=int, default=1,
                    help="number of first-column ranges, searched one after "
                         "another (default: 1)")

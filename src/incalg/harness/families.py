@@ -57,10 +57,20 @@ def jordan_like_maps(P, F, budget=FAMILY_BUDGET):
     """Every map of the shape conjugation after order-induced after
     multiplicative scaling, both order-map kinds, deduplicated.
 
+    c * delta is central, so conjugating by c * beta equals conjugating by
+    beta: the conjugations are built once each, for the beta whose first
+    diagonal value is one (one per class modulo nonzero scalars). In the
+    enumeration order of ``invertible_elements`` those come first, so every
+    skipped beta would only repeat a map seen earlier in its (order map,
+    sigma) block, and the result, insertion order included, is that of
+    running over every beta.
+
     Returns a dict keyed by the map's column tuple so membership tests and
     set comparison against sweep output are cheap.
     """
-    betas = invertible_elements(P, F, budget=budget)
+    conjs = [conjugation_map(beta)
+             for beta in invertible_elements(P, F, budget=budget)
+             if beta.coeffs[0] == F.one]
     sigmas = multiplicative_systems(P, F)
     oms = (enumerate_order_maps(P, "automorphism")
            + enumerate_order_maps(P, "anti_automorphism"))
@@ -69,8 +79,8 @@ def jordan_like_maps(P, F, budget=FAMILY_BUDGET):
         lam_hat = order_induced_map(om, F)
         for sigma in sigmas:
             base = compose(lam_hat, multiplicative_map(sigma))
-            for beta in betas:
-                m = compose(conjugation_map(beta), base)
+            for conj in conjs:
+                m = compose(conj, base)
                 key = tuple(tuple(c) for c in m.cols)
                 if key not in seen:
                     seen[key] = m

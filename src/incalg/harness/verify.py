@@ -146,6 +146,8 @@ def verify_theorem(theorem, P, F, k=None, workers=1, backend=None,
     if theorem not in _STATEMENTS:
         raise ValueError(f"unknown theorem {theorem!r}; choose from {THEOREMS}")
     st = _STATEMENTS[theorem]
+    if st.k is not None and k not in (None, st.k):
+        raise ValueError(f"{theorem!r} fixes k = {st.k}; got k = {k}")
     k = st.k or k
     if k is None:
         raise ValueError("kpotent verification needs an explicit k")

@@ -111,6 +111,30 @@ def test_verify_one_point_poset(capsys, theorem, q, extra):
     assert all(s["ok"] for s in out["samples"])
 
 
+@pytest.mark.parametrize("k,code", [("2", 0), ("5", 2)])
+def test_verify_fixed_k_theorem_refuses_other_k(capsys, k, code):
+    got, out = run(capsys, "verify", "--poset", "chain:1", "--field", "2",
+                   "--theorem", "z2", "--k", k)
+    assert got == code
+    if code == 0:
+        assert out["k"] == 2
+    else:
+        assert out["error"] == "ValueError"
+
+
+def test_verify_survives_closed_stdout():
+    # a reader that stops early (``| head -1``) must not turn a matched run
+    # into exit code 1 or print a traceback
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "incalg.cli", "verify", "--poset", "chain:2",
+         "--field", "2", "--theorem", "z2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait() == 0
+    assert "Traceback" not in err
+
+
 def test_verify_rejects_numba_backend():
     proc = subprocess.run(
         [sys.executable, "-m", "incalg.cli", "verify", "--poset", "chain:2",

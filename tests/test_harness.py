@@ -17,9 +17,11 @@ from incalg.harness.gl import enumerate_gl, gl_order
 from incalg.harness.kernels import (build_sweep_tables, codes_of_linmap,
                                     image_codes, linmap_from_codes, sweep_gl)
 from incalg.harness.verify import THEOREMS, verify_theorem
-from incalg.linmaps import (LinMap, is_bijective, is_k_potent_preserver,
-                            is_lie_homomorphism, preserves_jordan_products)
-from incalg.poset import chain, poset_from_relations
+from incalg.linmaps import (LinMap, compose, conjugation_map, is_bijective,
+                            is_k_potent_preserver, is_lie_homomorphism,
+                            multiplicative_map, order_induced_map,
+                            preserves_jordan_products)
+from incalg.poset import chain, enumerate_order_maps, poset_from_relations
 
 
 def vee():
@@ -164,6 +166,63 @@ def test_family_sizes_on_two_chain():
     assert len(fam) == 12
     for m in fam.values():
         assert is_bijective(m)
+    # the budget counts every invertible beta, not one per scalar class
+    with pytest.raises(BudgetExceeded) as ei:
+        jordan_like_maps(P, GF(5), budget=79)
+    assert ei.value.required == 4 * 4 * 5
+
+
+def _order_maps(P):
+    return (enumerate_order_maps(P, "automorphism")
+            + enumerate_order_maps(P, "anti_automorphism"))
+
+
+def _reference_jordan_like_maps(P, F):
+    """The family as first built: one conjugation per (order map, sigma,
+    beta), over every invertible beta."""
+    betas = invertible_elements(P, F)
+    sigmas = multiplicative_systems(P, F)
+    seen = {}
+    for om in _order_maps(P):
+        lam_hat = order_induced_map(om, F)
+        for sigma in sigmas:
+            base = compose(lam_hat, multiplicative_map(sigma))
+            for beta in betas:
+                m = compose(conjugation_map(beta), base)
+                key = tuple(tuple(c) for c in m.cols)
+                if key not in seen:
+                    seen[key] = m
+    return seen
+
+
+@pytest.mark.parametrize("P,q", [(chain(2), 3), (chain(2), 5), (vee(), 3),
+                                 (chain(3), 2), (chain(3), 3), (chain(1), 5)],
+                         ids=["chain2-gf3", "chain2-gf5", "vee-gf3",
+                              "chain3-gf2", "chain3-gf3", "chain1-gf5"])
+def test_jordan_like_maps_match_reference_loop(P, q):
+    # same keys in the same order, with equal maps, as the loop over every beta
+    F = GF(q)
+    assert (list(jordan_like_maps(P, F).items())
+            == list(_reference_jordan_like_maps(P, F).items()))
+
+
+def test_jordan_like_maps_need_sigma_on_k22():
+    # the Hasse diagram of K_{2,2} is a 4-cycle, so it has multiplicative
+    # systems that are not inner: half the family needs one
+    P, F = poset_from_relations([1, 2, 3, 4],
+                                [(1, 3), (1, 4), (2, 3), (2, 4)]), GF(3)
+    fam = jordan_like_maps(P, F)
+    assert len(fam) == 10_368
+    lams = [order_induced_map(om, F) for om in _order_maps(P)]
+    assert len(lams) == 8
+    inner = {compose(conjugation_map(beta), lam).cols
+             for lam in lams for beta in invertible_elements(P, F)}
+    assert len(inner) == 5_184 and inner <= fam.keys()
+    need_sigma = [key for key in fam if key not in inner]
+    assert len(need_sigma) == 5_184
+    step = len(need_sigma) // 4
+    for key in need_sigma[::step][:4]:
+        assert classify_preserver(fam[key], 2).regime == "char-ne-2"
 
 
 def test_tables_cache_and_contents():
@@ -263,14 +322,15 @@ def test_verify_refuses_exactly_outside_its_regimes(q, k):
         assert regime_of(F, k) == want
     assert set(COVERS) == set(THEOREMS)
     for theorem, (fixed, regimes) in COVERS.items():
-        kk = fixed or k
-        if REGIMES.get((q, kk)) not in regimes:
+        # a theorem that fixes k refuses any other k
+        if (fixed is not None and k != fixed
+                or REGIMES.get((q, k)) not in regimes):
             with pytest.raises(ValueError):
                 verify_theorem(theorem, P, F, k=k)
             continue
-        report = verify_theorem(theorem, P, F, k=k)
-        assert report.match and report.k == kk
-        _assert_samples_certified(P, F, kk, report)
+        report = verify_theorem(theorem, P, F, k=None if fixed else k)
+        assert report.match and report.k == k
+        _assert_samples_certified(P, F, k, report)
 
 
 def test_verify_samples_carry_classify_certificates():
