@@ -33,6 +33,7 @@ from .errors import (DisconnectedPoset, DownstreamJordanFailure,
                      UnsupportedRegime)
 from .field import Scalar, primitive_root_of_unity
 from .linmaps import (LinMap, apply_map, compose, conjugation_map, format_linmap,
+                      has_idempotent_diagonal_images,
                       is_algebra_anti_automorphism, is_algebra_automorphism,
                       is_bijective, is_jordan_homomorphism, is_k_potent_preserver,
                       is_lie_homomorphism, is_multiplicative_coeffs, is_shift_map,
@@ -217,17 +218,13 @@ def z2_decompose(phi, budget=DEFAULT_BUDGET):
         raise InternalConsistencyError("normalized part is not a Lie automorphism",
                                        format_linmap(psi))
 
-    # commute the inner conjugation past tau: shift(f) = f + (tau - id)(eta^-1 f)
+    # commute the inner conjugation past tau: tau - id maps into F delta,
+    # which eta fixes, so eta tau eta^-1 (f) = f + (tau - id)(eta^-1 f)
     eta = conjugation_map(beta)
-    shift_images = []
-    for j, (x, y) in enumerate(pairs):
-        h = eta_inv.image(j)
-        corr = apply_map(tau, h) - h
-        shift_images.append(basis_element(P, F, x, y) + corr)
-    shift = linmap_from_images(P, F, shift_images)
+    shift = compose(eta, compose(tau, eta_inv))
     lie_part = compose(eta, psi)
 
-    if not is_shift_map(shift, require_bijective=True):
+    if not is_shift_map(shift):
         raise InternalConsistencyError("commuted shift lost its shift form",
                                        format_linmap(shift))
     if not (is_bijective(lie_part) and is_lie_homomorphism(lie_part)):
@@ -341,9 +338,7 @@ def _certify_char_2_big(phi, k, mode, budget):
     # certificates only: no automorphism/anti-automorphism factorization
     # exists in general, so none is attempted
     _require_idempotent_preserver(phi, mode, budget)
-    ex_idem = all(convolve(phi.image(i), phi.image(i)) == phi.image(i)
-                  for i in range(phi.poset.n))
-    if not (is_lie_homomorphism(phi) and ex_idem):
+    if not (is_lie_homomorphism(phi) and has_idempotent_diagonal_images(phi)):
         raise InternalConsistencyError(
             "exhaustive idempotent preserver misses its certificate",
             format_linmap(phi))

@@ -83,12 +83,9 @@ def _element_triples(f):
 def cmd_verify(args):
     P = _load_poset(args.poset)
     F = field_from_flag(args.field)
-    try:
-        report = verify_theorem(args.theorem, P, F, k=args.k,
-                                workers=args.workers, backend=args.backend,
-                                budget=args.budget, spot=args.spot)
-    except USAGE_ERRORS as e:
-        return _fail(e, 2)
+    report = verify_theorem(args.theorem, P, F, k=args.k,
+                            workers=args.workers, backend=args.backend,
+                            budget=args.budget, spot=args.spot)
     _emit(report.to_jsonable())
     return 0 if report.match else 1
 
@@ -139,8 +136,6 @@ def cmd_demo(args):
     except ClaimFailed as e:
         _emit({"error": "ClaimFailed", "message": str(e), "claims": e.claims})
         return 1
-    except ValueError as e:
-        return _fail(e, 2)
     _emit(reports if args.name == "all" else reports[0])
     return 0
 
@@ -155,8 +150,6 @@ def cmd_enumerate_potents(args):
         if not args.force or e.required is None:
             return _fail(e, 2)
         elems = enumerate_k_potents(P, F, args.k, budget=e.required)
-    except USAGE_ERRORS as e:
-        return _fail(e, 2)
     out = {"poset": {"labels": list(P.labels)}, "field": F.flag(),
            "k": args.k, "count": len(elems)}
     if not args.count_only:

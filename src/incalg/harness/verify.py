@@ -98,10 +98,6 @@ def _shift_lie_family(P, F, k, res, budget):
                  f"{res.lie_maps.shape[0]} bijective Lie endomorphisms"]
 
 
-def _jordan_family(P, F, k, res, budget):
-    return {codes_of_linmap(m) for m in jordan_like_maps(P, F).values()}, []
-
-
 def _scaled_family(P, F, k, res, budget):
     fam_maps = scaled_maps(jordan_like_maps(P, F).values(), F, k)
     return {codes_of_linmap(m) for m in fam_maps.values()}, []
@@ -132,7 +128,7 @@ class _Statement:
 
 _STATEMENTS = {
     "z2": _Statement(2, ("z2",), True, False, _shift_lie_family),
-    "char-ne-2": _Statement(2, ("char-ne-2",), False, False, _jordan_family),
+    "char-ne-2": _Statement(2, ("char-ne-2",), False, False, _scaled_family),
     "char-2-big": _Statement(2, ("char-2-big",), True, True, None),
     "tripotent": _Statement(3, ("tripotent",), False, False, _scaled_family),
     "kpotent": _Statement(None, ("tripotent", "kpotent"), False, False,

@@ -9,6 +9,7 @@ equivalent to the identity holding everywhere.
 """
 
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement, product
 
 from . import potents as _potents
 from .algebra import (IncElement, as_scalar_multiple_of_delta, basis_element,
@@ -422,77 +423,65 @@ def is_k_potent_preserver(phi, k, mode="exhaustive", budget=None):
     return PreserverCheck(True, None, mode, checked)
 
 
-def _basis_elements(phi):
+def _keeps(phi, law, tuples, image_law=None):
+    """Whether phi(law(e_i, ...)) = image_law(phi(e_i), ...) for every tuple
+    of basis indices, stopping at the first failure; image_law defaults to
+    law."""
+    image_law = image_law or law
     P, F = phi.poset, phi.field
-    return [basis_element(P, F, P.labels[i], P.labels[j]) for i, j in P.pairs]
+    es = [basis_element(P, F, P.labels[i], P.labels[j]) for i, j in P.pairs]
+    ims = [phi.image(j) for j in range(P.dim)]
+    return all(apply_map(phi, law(*(es[i] for i in t)))
+               == image_law(*(ims[i] for i in t)) for t in tuples)
+
+
+def _square(a):
+    return convolve(a, a)
+
+
+def _aba(a, b):
+    return convolve(convolve(a, b), a)
+
+
+def _abc_cba(a, b, c):
+    return convolve(convolve(a, b), c) + convolve(convolve(c, b), a)
+
+
+def _reversed_product(a, b):
+    return convolve(b, a)
 
 
 def preserves_jordan_products(phi):
     """phi(a o b) = phi(a) o phi(b) for a o b = ab + ba, on basis pairs
     (bilinear, hence everywhere)."""
-    es = _basis_elements(phi)
-    ims = [phi.image(j) for j in range(phi.poset.dim)]
-    for a in range(len(es)):
-        for b in range(a, len(es)):
-            if apply_map(phi, jordan_product(es[a], es[b])) != \
-                    jordan_product(ims[a], ims[b]):
-                return False
-    return True
-
-
-def preserves_squares(phi):
-    """phi(a^2) = phi(a)^2 everywhere, via Jordan products on basis pairs
-    plus squares of basis elements (the polarization of the square)."""
-    if not preserves_jordan_products(phi):
-        return False
-    es = _basis_elements(phi)
-    for a, e in enumerate(es):
-        if apply_map(phi, convolve(e, e)) != convolve(phi.image(a), phi.image(a)):
-            return False
-    return True
+    return _keeps(phi, jordan_product,
+                  combinations_with_replacement(range(phi.poset.dim), 2))
 
 
 def is_lie_homomorphism(phi):
     """phi[a,b] = [phi a, phi b] on basis pairs (bilinear, hence everywhere)."""
-    es = _basis_elements(phi)
-    ims = [phi.image(j) for j in range(phi.poset.dim)]
-    for a in range(len(es)):
-        for b in range(a + 1, len(es)):
-            if apply_map(phi, lie_bracket(es[a], es[b])) != lie_bracket(ims[a], ims[b]):
-                return False
-    return True
-
-
-def is_jordan_triple_homomorphism(phi):
-    """phi(aba) = phi(a) phi(b) phi(a) everywhere.
-
-    Quadratic in a, so checked as: the identity on basis pairs, plus its
-    polarized form phi(abc + cba) = phi(a)phi(b)phi(c) + phi(c)phi(b)phi(a)
-    on basis triples.
-    """
-    es = _basis_elements(phi)
-    ims = [phi.image(j) for j in range(phi.poset.dim)]
-    n = len(es)
-    for a in range(n):
-        for b in range(n):
-            lhs = apply_map(phi, convolve(convolve(es[a], es[b]), es[a]))
-            if lhs != convolve(convolve(ims[a], ims[b]), ims[a]):
-                return False
-    for a in range(n):
-        for b in range(n):
-            for c in range(a + 1, n):
-                lhs = apply_map(phi, convolve(convolve(es[a], es[b]), es[c])
-                                + convolve(convolve(es[c], es[b]), es[a]))
-                rhs = convolve(convolve(ims[a], ims[b]), ims[c]) \
-                    + convolve(convolve(ims[c], ims[b]), ims[a])
-                if lhs != rhs:
-                    return False
-    return True
+    return _keeps(phi, lie_bracket, combinations(range(phi.poset.dim), 2))
 
 
 def is_jordan_homomorphism(phi):
-    """Jordan products, squares, and triple products all preserved."""
-    return preserves_squares(phi) and is_jordan_triple_homomorphism(phi)
+    """Jordan products, squares and triple products aba all preserved.
+
+    The square and aba are quadratic in a, so each is checked on basis
+    elements plus its polarized form: Jordan products on basis pairs for the
+    square, abc + cba on basis triples with a < c for aba.
+    """
+    d = range(phi.poset.dim)
+    return (preserves_jordan_products(phi)
+            and _keeps(phi, _square, ((a,) for a in d))
+            and _keeps(phi, _aba, product(d, repeat=2))
+            and _keeps(phi, _abc_cba, ((a, b, c) for a in d for b in d
+                                       for c in range(a + 1, len(d)))))
+
+
+def has_idempotent_diagonal_images(phi):
+    """phi(e_x) is idempotent for every x: since e_x e_x = e_x, this is the
+    square law on the diagonal basis elements."""
+    return _keeps(phi, _square, ((x,) for x in range(phi.poset.n)))
 
 
 def _is_algebra_iso(phi, anti):
@@ -503,14 +492,8 @@ def _is_algebra_iso(phi, anti):
     P, F = phi.poset, phi.field
     if apply_map(phi, delta(P, F)) != delta(P, F):
         return False
-    es = _basis_elements(phi)
-    ims = [phi.image(j) for j in range(P.dim)]
-    for a in range(len(es)):
-        for b in range(len(es)):
-            x, y = (ims[b], ims[a]) if anti else (ims[a], ims[b])
-            if apply_map(phi, convolve(es[a], es[b])) != convolve(x, y):
-                return False
-    return True
+    return _keeps(phi, convolve, product(range(P.dim), repeat=2),
+                  _reversed_product if anti else convolve)
 
 
 def is_algebra_automorphism(phi):
@@ -521,8 +504,9 @@ def is_algebra_anti_automorphism(phi):
     return _is_algebra_iso(phi, anti=True)
 
 
-def is_shift_map(phi, require_bijective=True):
-    """Whether (phi - id) takes values in the scalar multiples of delta.
+def is_shift_map(phi):
+    """Whether phi is bijective and (phi - id) takes values in the scalar
+    multiples of delta.
 
     Only meaningful where the center is spanned by delta, so the poset must
     be connected.
@@ -534,9 +518,7 @@ def is_shift_map(phi, require_bijective=True):
         diff = phi.image(j) - basis_element(P, F, *P.comparable_pairs()[j])
         if as_scalar_multiple_of_delta(diff) is None:
             return False
-    if require_bijective and not is_bijective(phi):
-        return False
-    return True
+    return is_bijective(phi)
 
 
 # --- file format ---

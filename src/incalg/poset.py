@@ -30,7 +30,6 @@ class Poset:
         self.labels = tuple(labels)
         self.n = len(labels)
         self.index = {x: i for i, x in enumerate(labels)}
-        self.leq_np = np.array(leq_rows, dtype=bool)
         self._leq = tuple(tuple(bool(v) for v in row) for row in leq_rows)
 
         diag = [(i, i) for i in range(self.n)]

@@ -162,6 +162,27 @@ def test_criterion_7_demos_reproduce_every_claim():
                f"{elapsed:.3f}s")
 
 
+@pytest.mark.parametrize("make,q,theorem,preservers", [
+    (lambda: chain(3), 2, "z2", 512),
+    (vee, 3, "char-ne-2", 72),
+    (lambda: chain(3), 3, "char-ne-2", 216),
+    (lambda: TWO_CHAIN, 9, "char-ne-2", 144),
+], ids=["chain3-gf2-z2", "vee-gf3-char-ne-2", "chain3-gf3-char-ne-2",
+        "chain2-gf9-char-ne-2"])
+def test_criterion_9_verify_beyond_brute_force(make, q, theorem, preservers):
+    P = make()
+    t0 = time.perf_counter()
+    report = verify_theorem(theorem, P, GF(q), spot=4)
+    elapsed = time.perf_counter() - t0
+    assert report.n_maps == gl_order(P.dim, q)
+    assert report.preserver_count == report.family_count == preservers
+    assert report.match, report.notes
+    assert elapsed < 10.0
+    _passed(9, f"{theorem} over GF({q}): {report.preserver_count} "
+               f"preservers equal the family among {report.n_maps:,} maps, "
+               f"in {elapsed:.2f}s")
+
+
 def _all_elements(P, F):
     for coeffs in itertools.product(range(F.q), repeat=P.dim):
         yield IncElement(P, F, coeffs)

@@ -1,21 +1,26 @@
 """Linear maps: constructors, predicates, serialization, subspaces."""
 
 import itertools
+import random
 
 import pytest
 
-from incalg.algebra import basis_element, delta, from_triples, try_inverse
+from incalg.algebra import (IncElement, basis_element, convolve, delta,
+                            from_triples, is_k_potent, jordan_product,
+                            lie_bracket, try_inverse)
 from incalg.errors import (DimensionMismatch, Singular, StructureMismatch)
 from incalg.field import GF, QQ
 from incalg.linmaps import (LinMap, Subspace, apply_map, compose,
-                            conjugation_map, format_linmap, identity_map,
+                            conjugation_map, format_linmap,
+                            has_idempotent_diagonal_images, identity_map,
                             is_algebra_anti_automorphism,
                             is_algebra_automorphism, is_bijective,
                             is_jordan_homomorphism, is_k_potent_preserver,
                             is_lie_homomorphism, is_multiplicative_coeffs,
                             is_shift_map, linmap_from_images,
                             linmap_from_pair_images, multiplicative_map,
-                            order_induced_map, parse_linmap, scale_map,
+                            order_induced_map, parse_linmap,
+                            preserves_jordan_products, scale_map,
                             shift_from_functional, subspace_intersection,
                             try_invert)
 from incalg.poset import chain, enumerate_order_maps, poset_from_relations
@@ -207,3 +212,80 @@ def test_linmap_eq_hash_and_validation():
         LinMap(P, F, [[1, 0, 0], [0, 1, 0]])
     with pytest.raises(StructureMismatch):
         linmap_from_images(P, F, [delta(P, GF(5))] * 3)
+
+
+PREDICATES = (preserves_jordan_products, is_lie_homomorphism,
+              is_jordan_homomorphism, is_algebra_automorphism,
+              is_algebra_anti_automorphism, has_idempotent_diagonal_images)
+
+
+def _fgf(f, g):
+    return convolve(convolve(f, g), f)
+
+
+def _law_tables(P, F):
+    """Every algebra element, and each law evaluated on every pair of them."""
+    elems = [IncElement(P, F, c)
+             for c in itertools.product(range(F.q), repeat=P.dim)]
+    pairs = list(itertools.product(range(len(elems)), repeat=2))
+    tables = {law: [law(elems[i], elems[j]) for i, j in pairs]
+              for law in (jordan_product, lie_bracket, convolve, _fgf)}
+    return elems, pairs, tables
+
+
+def _by_definition(phi, elems, pairs, tables):
+    """The predicates' laws on every pair of elements, with no reduction to
+    basis tuples, in the order of PREDICATES."""
+    ims = [apply_map(phi, f) for f in elems]
+
+    def keeps(law, image_law=None):
+        image_law = image_law or law
+        return all(apply_map(phi, v) == image_law(ims[i], ims[j])
+                   for v, (i, j) in zip(tables[law], pairs))
+
+    bij = is_bijective(phi)
+    jordan = keeps(jordan_product)
+    return (jordan,
+            keeps(lie_bracket),
+            jordan and all(apply_map(phi, convolve(f, f)) == convolve(g, g)
+                           for f, g in zip(elems, ims)) and keeps(_fgf),
+            bij and keeps(convolve),
+            bij and keeps(convolve, lambda a, b: convolve(b, a)),
+            all(is_k_potent(phi.image(x), 2) for x in range(phi.poset.n)))
+
+
+def _map_from_index(P, F, m):
+    digits = []
+    for _ in range(P.dim * P.dim):
+        m, r = divmod(m, F.q)
+        digits.append(r)
+    return LinMap(P, F, [digits[j * P.dim:(j + 1) * P.dim]
+                         for j in range(P.dim)])
+
+
+def test_predicates_equal_their_laws_on_every_element_pair():
+    # over GF(2), all 512 linear maps of the 2-chain; over GF(3) (char not 2)
+    # a seeded sample of the 19,683 maps plus inner and order-reversed maps,
+    # so that every predicate is true somewhere
+    P = chain(2)
+    F = GF(2)
+    maps = [_map_from_index(P, F, m) for m in range(F.q ** (P.dim ** 2))]
+    tables = _law_tables(P, F)
+    got = [tuple(p(phi) for p in PREDICATES) for phi in maps]
+    assert got == [_by_definition(phi, *tables) for phi in maps]
+    assert [sum(col) for col in zip(*got)] == [48, 48, 19, 2, 2, 288]
+
+    F = GF(3)
+    rng = random.Random(20261018)
+    maps = [_map_from_index(P, F, m)
+            for m in rng.sample(range(F.q ** (P.dim ** 2)), 1000)]
+    rev = order_induced_map(enumerate_order_maps(P, "anti_automorphism")[0], F)
+    for _ in range(6):
+        beta = from_triples(P, F, [(1, 1, rng.randrange(1, 3)),
+                                   (2, 2, rng.randrange(1, 3)),
+                                   (1, 2, rng.randrange(3))])
+        maps += [conjugation_map(beta), compose(conjugation_map(beta), rev)]
+    tables = _law_tables(P, F)
+    got = [tuple(p(phi) for p in PREDICATES) for phi in maps]
+    assert got == [_by_definition(phi, *tables) for phi in maps]
+    assert all(any(col) for col in zip(*got))
