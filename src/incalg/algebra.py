@@ -3,7 +3,9 @@
 An element is a coefficient vector over the canonical comparable-pair basis
 of its poset (diagonal pairs first, then strict pairs). Multiplication is
 convolution: (fg)(x,y) = sum of f(x,z) g(z,y) over x <= z <= y, driven by the
-poset's single-step structure-constant table. All arithmetic is exact.
+poset's nonzero single-step structure constants. ``convolve_coeffs`` and
+``power_coeffs`` work on raw coefficient tuples, and every product of
+elements goes through them. All arithmetic is exact.
 """
 
 from fractions import Fraction
@@ -168,45 +170,62 @@ def diagonal_part(f):
     return IncElement(P, F, f.coeffs[:P.n] + (F.zero,) * P.n_strict)
 
 
-def convolve(f, g):
-    _check_same(f, g)
-    P, F = f.poset, f.field
-    z = F.zero
-    prod = P.prod_table
-    add, mul = F.add, F.mul
-    out = [z] * P.dim
-    gc = g.coeffs
-    for a, fa in enumerate(f.coeffs):
-        if fa == z:
-            continue
-        row = prod[a]
-        for b, gb in enumerate(gc):
-            if gb != z:
-                m = row[b]
-                if m >= 0:
-                    out[m] = add(out[m], mul(fa, gb))
-    return IncElement(P, F, out)
+def convolve_coeffs(P, F, fc, gc):
+    """Coefficient tuple of fg from the raw coefficients fc and gc of f and
+    g in I(P, F); the caller vouches that both live there. Finite codes go
+    through the field's add/mul tables, rationals through + and *."""
+    out = [F.zero] * P.dim
+    terms = P.prod_terms
+    if F.is_finite():
+        addt, mult = F._addt, F._mult
+        for a, fa in enumerate(fc):
+            if fa:
+                row = mult[fa]
+                for b, m in terms[a]:
+                    gb = gc[b]
+                    if gb:
+                        out[m] = addt[out[m]][row[gb]]
+    else:
+        for a, fa in enumerate(fc):
+            if fa:
+                for b, m in terms[a]:
+                    gb = gc[b]
+                    if gb:
+                        out[m] += fa * gb
+    return tuple(out)
 
 
-def power(f, n):
+def power_coeffs(P, F, fc, n):
+    """Coefficient tuple of f^n (n >= 1), by repeated squaring."""
     if n < 1:
         raise ValueError("n must be >= 1")
     out = None
-    base = f
+    base = tuple(fc)
     while n:
         if n & 1:
-            out = base if out is None else convolve(out, base)
+            out = base if out is None else convolve_coeffs(P, F, out, base)
         n >>= 1
         if n:
-            base = convolve(base, base)
+            base = convolve_coeffs(P, F, base, base)
     return out
+
+
+def convolve(f, g):
+    _check_same(f, g)
+    return IncElement(f.poset, f.field,
+                      convolve_coeffs(f.poset, f.field, f.coeffs, g.coeffs))
+
+
+def power(f, n):
+    return IncElement(f.poset, f.field,
+                      power_coeffs(f.poset, f.field, f.coeffs, n))
 
 
 def is_k_potent(f, k):
     """Whether f^k = f (k >= 2)."""
     if k < 2:
         raise ValueError("k must be >= 2")
-    return power(f, k) == f
+    return power_coeffs(f.poset, f.field, f.coeffs, k) == f.coeffs
 
 
 def jordan_product(f, g):

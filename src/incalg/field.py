@@ -270,7 +270,8 @@ class FieldSpec:
         return "Q" if self.kind == "rational" else str(self.q)
 
     def __eq__(self, other):
-        return isinstance(other, FieldSpec) and self.kind == other.kind and self.q == other.q
+        return self is other or (isinstance(other, FieldSpec)
+                                 and self.kind == other.kind and self.q == other.q)
 
     def __hash__(self):
         return hash((self.kind, self.q))

@@ -33,18 +33,21 @@ def enumerate_gl(P, F, budget=2 * 10 ** 6):
         raise BudgetExceeded(
             f"group has {order} elements, budget is {budget}", required=order)
     space, dig = space_digits(P, F)
-    add_np, mul_np = F.add_np, F.mul_np
+    dig = [tuple(row) for row in dig.tolist()]
+    add_t, mul_t = F.add_np.tolist(), F.mul_np.tolist()
 
     def vec_add(a, b):
+        da, db = dig[a], dig[b]
         c = 0
         for j in range(dim - 1, -1, -1):
-            c = c * q + int(add_np[dig[a, j], dig[b, j]])
+            c = c * q + add_t[da[j]][db[j]]
         return c
 
     def vec_smul(s, a):
+        da, row = dig[a], mul_t[s]
         c = 0
         for j in range(dim - 1, -1, -1):
-            c = c * q + int(mul_np[s, dig[a, j]])
+            c = c * q + row[da[j]]
         return c
 
     cols = [0] * dim
@@ -56,7 +59,7 @@ def enumerate_gl(P, F, budget=2 * 10 ** 6):
                 continue
             cols[level] = cand
             if level == dim - 1:
-                yield LinMap(P, F, [[int(v) for v in dig[c]] for c in cols])
+                yield LinMap(P, F, [dig[c] for c in cols])
                 continue
             added = []
             for s in list(span):

@@ -41,14 +41,23 @@ class Poset:
         self.n_strict = len(strict)
         self.pair_pos = {pr: k for k, pr in enumerate(self.pairs)}
 
-        # single-step structure constants: e_(x,y) e_(u,v) = [y==u] e_(x,v)
+        # single-step structure constants: e_(x,y) e_(u,v) = [y==u] e_(x,v);
+        # prod_table is the numpy form the batch scan indexes, prod_terms the
+        # nonzero (b, m) entries of each row as Python ints for the exact
+        # coefficient kernel
         prod = np.full((self.dim, self.dim), -1, dtype=np.int16)
+        terms = []
         for a, (x, y) in enumerate(self.pairs):
+            row = []
             for b, (u, v) in enumerate(self.pairs):
                 if y == u:
-                    prod[a, b] = self.pair_pos[(x, v)]
+                    m = self.pair_pos[(x, v)]
+                    prod[a, b] = m
+                    row.append((b, m))
+            terms.append(tuple(row))
         self.prod_table = prod
         self.prod_table.setflags(write=False)
+        self.prod_terms = tuple(terms)
 
         covers = []
         for i, j in strict:
@@ -99,8 +108,9 @@ class Poset:
                      if self._leq[i][z] and self._leq[z][j])
 
     def __eq__(self, other):
-        return (isinstance(other, Poset)
-                and self.labels == other.labels and self._leq == other._leq)
+        return self is other or (isinstance(other, Poset)
+                                 and self.labels == other.labels
+                                 and self._leq == other._leq)
 
     def __hash__(self):
         return self._hash

@@ -90,8 +90,9 @@ _POTENT_CACHE = {}
 
 def cached_potents(P, F, k, budget=DEFAULT_BUDGET):
     """The k-potents of I(P, F), scanned once per (P, F, k) and shared by the
-    sweep tables and ``enumerate_k_potents``. The budget is checked on every
-    call, before the lookup: the cache key has no budget in it."""
+    sweep tables, ``enumerate_k_potents`` and the brute-force oracle
+    ``linmaps.is_k_potent_preserver``. The budget is checked on every call,
+    before the lookup: the cache key has no budget in it."""
     _check_scan(P, F, k, budget)
     key = (P, F, k)
     if key not in _POTENT_CACHE:

@@ -1,6 +1,7 @@
 """Element arithmetic: convolution laws, inverses, centralizers."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ from incalg.algebra import (IncElement, as_scalar_multiple_of_delta,
                             zero)
 from incalg.errors import NotInvertible, StructureMismatch
 from incalg.field import GF, QQ
-from incalg.poset import antichain, chain
+from incalg.poset import antichain, chain, poset_from_relations
 
 P3 = chain(3)
 F3 = GF(3)
@@ -198,3 +199,51 @@ def test_antichain_algebra_is_diagonal():
     from incalg.errors import DisconnectedPoset
     with pytest.raises(DisconnectedPoset):
         is_central(f)
+
+
+def _convolve_by_definition(f, g):
+    """(fg)(x,y) = sum of f(x,z) g(z,y) over the interval [x, y], read from
+    the poset's intervals and pair positions only."""
+    P, F = f.poset, f.field
+    out = []
+    for x, y in P.comparable_pairs():
+        acc = F.zero
+        for z in P.interval(x, y):
+            acc = F.add(acc, F.mul(f.coeffs[P.pair_index(x, z)],
+                                   g.coeffs[P.pair_index(z, y)]))
+        out.append(acc)
+    return tuple(out)
+
+
+def _vee():
+    return poset_from_relations([1, 2, 3], [(1, 2), (1, 3)])
+
+
+def _fork():
+    return poset_from_relations([1, 2, 3, 4], [(1, 2), (2, 3), (1, 4)])
+
+
+@pytest.mark.parametrize("make,q", [(lambda: chain(2), 3), (lambda: chain(2), 4),
+                                    (_vee, 2)],
+                         ids=["chain2-gf3", "chain2-gf4", "vee-gf2"])
+def test_convolve_equals_the_interval_sum_on_every_pair(make, q):
+    P, F = make(), GF(q)
+    elems = list(all_elements(P, F))
+    for f, g in itertools.product(elems, repeat=2):
+        assert convolve(f, g).coeffs == _convolve_by_definition(f, g)
+
+
+@pytest.mark.parametrize("F", [GF(5), QQ()], ids=["gf5", "Q"])
+def test_convolve_equals_the_interval_sum_on_seeded_fork_pairs(F):
+    P = _fork()
+    rng = random.Random(20261018)
+
+    def draw():
+        if F.is_finite():
+            return IncElement(P, F, [rng.randrange(F.q) for _ in range(P.dim)])
+        return IncElement(P, F, [Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                                 for _ in range(P.dim)])
+
+    for _ in range(500):
+        f, g = draw(), draw()
+        assert convolve(f, g).coeffs == _convolve_by_definition(f, g)

@@ -1,15 +1,19 @@
 """Sweep kernels against the pure-Python oracle."""
 
+import hashlib
 import itertools
+import random
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from incalg import potents
+from incalg import linmaps, potents
+from incalg.algebra import from_triples, is_k_potent
 from incalg.classify import classify_preserver, regime_of
 from incalg.errors import BudgetExceeded, UnsupportedRegime
-from incalg.field import GF
+from incalg.field import GF, QQ
 from incalg.harness import kernels
 from incalg.harness.families import (bijective_shifts, invertible_elements,
                                      jordan_like_maps, multiplicative_systems)
@@ -17,10 +21,11 @@ from incalg.harness.gl import enumerate_gl, gl_order
 from incalg.harness.kernels import (build_sweep_tables, codes_of_linmap,
                                     image_codes, linmap_from_codes, sweep_gl)
 from incalg.harness.verify import THEOREMS, verify_theorem
-from incalg.linmaps import (LinMap, compose, conjugation_map, is_bijective,
-                            is_k_potent_preserver, is_lie_homomorphism,
-                            multiplicative_map, order_induced_map,
-                            preserves_jordan_products)
+from incalg.linmaps import (LinMap, apply_map, compose, conjugation_map,
+                            identity_map, is_bijective, is_k_potent_preserver,
+                            is_lie_homomorphism, multiplicative_map,
+                            order_induced_map, preserves_jordan_products,
+                            scale_map)
 from incalg.poset import chain, enumerate_order_maps, poset_from_relations
 
 
@@ -51,6 +56,97 @@ def test_enumerate_gl_budget():
     with pytest.raises(BudgetExceeded) as ei:
         list(enumerate_gl(chain(2), GF(5), budget=10))
     assert ei.value.required == 1_488_000
+
+
+def _code_stream_sha256(maps):
+    h = hashlib.sha256()
+    for m in maps:
+        h.update((",".join(map(str, codes_of_linmap(m))) + "\n").encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("P,q,count,digest", [
+    (chain(2), 3, 11_232,
+     "932ab5fc810b464153f57fdf0b3059b75df3712423c23e78140674f4b666359c"),
+    (vee(), 2, 50_000,
+     "fa92a12d0a0c74fbcf4ec852a53aecd39c23a83a7740ce671d161df834c6a1dd"),
+], ids=["chain2-gf3-all", "vee-gf2-prefix"])
+def test_enumerate_gl_order_is_pinned(P, q, count, digest):
+    # the exact map sequence, as column codes, that the enumeration yielded
+    # when its digits were still read from numpy arrays
+    maps = itertools.islice(enumerate_gl(P, GF(q), budget=10 ** 7), count)
+    assert _code_stream_sha256(maps) == digest
+
+
+def _reference_preserver_check(phi, k, mode="exhaustive"):
+    """The per-potent loop on elements: apply the map, then test f^k = f."""
+    P, F = phi.poset, phi.field
+    pots = (potents.enumerate_k_potents(P, F, k) if mode == "exhaustive"
+            else linmaps._sampled_potents(P, F, k))
+    for checked, f in enumerate(pots, start=1):
+        if not is_k_potent(apply_map(phi, f), k):
+            return False, f, mode, checked
+    return True, None, mode, checked
+
+
+def _check_tuple(check):
+    return check.ok, check.witness, check.mode, check.checked
+
+
+@pytest.mark.parametrize("q,count", [(3, None), (4, 5_000)],
+                         ids=["gf3-all", "gf4-prefix"])
+@pytest.mark.parametrize("k", [2, 3])
+def test_preserver_check_matches_the_element_loop(q, count, k):
+    # same verdict, the same cached potent as witness, same count checked
+    P, F = chain(2), GF(q)
+    hits = 0
+    for phi in itertools.islice(enumerate_gl(P, F), count):
+        got = is_k_potent_preserver(phi, k)
+        ref = _reference_preserver_check(phi, k)
+        assert _check_tuple(got) == ref
+        assert got.witness is ref[1]
+        hits += got.ok
+    assert 0 < hits < (count or gl_order(P.dim, q))
+
+
+def test_sampled_preserver_check_matches_the_element_loop():
+    # seeded rational maps: random ones, and inner maps possibly composed
+    # with the order reversal or scaled by -1, so both verdicts occur
+    P, F = chain(2), QQ()
+    rng = random.Random(20261018)
+    rev = order_induced_map(enumerate_order_maps(P, "anti_automorphism")[0], F)
+    verdicts = set()
+    for i in range(200):
+        if i % 2:
+            phi = LinMap(P, F, [[Fraction(rng.randint(-2, 2)) for _ in range(P.dim)]
+                                for _ in range(P.dim)])
+        else:
+            beta = from_triples(P, F, [(1, 1, rng.choice([1, -1, 2])),
+                                       (2, 2, rng.choice([1, 3, -1])),
+                                       (1, 2, rng.randint(-2, 2))])
+            phi = conjugation_map(beta)
+            if rng.random() < 0.5:
+                phi = compose(phi, rev)
+            if rng.random() < 0.5:
+                phi = scale_map(phi, -1)
+        for k in (2, 3):
+            got = is_k_potent_preserver(phi, k, mode="sampled")
+            assert _check_tuple(got) == _reference_preserver_check(phi, k, "sampled")
+            verdicts.add((k, got.ok))
+    assert verdicts == {(2, True), (2, False), (3, True), (3, False)}
+
+
+def test_preserver_check_refusal_order():
+    # an unknown mode, then k < 2, then the budget (27 codes here)
+    phi = identity_map(chain(2), GF(3))
+    with pytest.raises(ValueError, match="unknown mode"):
+        is_k_potent_preserver(phi, 1, mode="bogus", budget=26)
+    with pytest.raises(ValueError, match="k must be >= 2"):
+        is_k_potent_preserver(phi, 1, budget=26)
+    with pytest.raises(ValueError, match="k must be >= 2"):
+        is_k_potent_preserver(phi, 1, mode="sampled")
+    with pytest.raises(BudgetExceeded):
+        is_k_potent_preserver(phi, 2, budget=26)
 
 
 @pytest.mark.parametrize("q,k", [(2, 2), (3, 2), (4, 2), (5, 3)])

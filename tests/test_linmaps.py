@@ -10,6 +10,7 @@ from incalg.algebra import (IncElement, basis_element, convolve, delta,
                             lie_bracket, try_inverse)
 from incalg.errors import (DimensionMismatch, Singular, StructureMismatch)
 from incalg.field import GF, QQ
+from incalg.harness.families import jordan_like_maps
 from incalg.linmaps import (LinMap, Subspace, apply_map, compose,
                             conjugation_map, format_linmap,
                             has_idempotent_diagonal_images, identity_map,
@@ -289,3 +290,62 @@ def test_predicates_equal_their_laws_on_every_element_pair():
     got = [tuple(p(phi) for p in PREDICATES) for phi in maps]
     assert got == [_by_definition(phi, *tables) for phi in maps]
     assert all(any(col) for col in zip(*got))
+
+
+def _all_jordan_laws(phi):
+    """The full law check: Jordan products on basis pairs, then squares,
+    aba and abc + cba on basis tuples, in every characteristic."""
+    P, F = phi.poset, phi.field
+    d = range(P.dim)
+    es = [basis_element(P, F, x, y) for x, y in P.comparable_pairs()]
+    ims = [phi.image(j) for j in d]
+
+    def keeps(law, tuples):
+        return all(apply_map(phi, law(*(es[i] for i in t)))
+                   == law(*(ims[i] for i in t)) for t in tuples)
+
+    return (preserves_jordan_products(phi)
+            and keeps(lambda a: convolve(a, a), ((a,) for a in d))
+            and keeps(lambda a, b: convolve(convolve(a, b), a),
+                      itertools.product(d, repeat=2))
+            and keeps(lambda a, b, c: (convolve(convolve(a, b), c)
+                                       + convolve(convolve(c, b), a)),
+                      ((a, b, c) for a in d for b in d
+                       for c in range(a + 1, P.dim))))
+
+
+def _random_maps(P, F, count, seed):
+    rng = random.Random(seed)
+    return [LinMap(P, F, [[rng.randrange(F.q) for _ in range(P.dim)]
+                          for _ in range(P.dim)]) for _ in range(count)]
+
+
+def test_jordan_homomorphism_off_char_2_equals_the_full_law_check():
+    # off characteristic 2 the Jordan products decide the squares and aba
+    P, F = chain(2), GF(3)
+    maps = [_map_from_index(P, F, m) for m in range(F.q ** (P.dim ** 2))]
+    got = [is_jordan_homomorphism(phi) for phi in maps]
+    assert got == [_all_jordan_laws(phi) for phi in maps]
+    assert sum(got) == 33
+
+    V = poset_from_relations([1, 2, 3], [(1, 2), (1, 3)])
+    for q, seed in ((3, 20261018), (5, 20261019)):
+        maps = _random_maps(V, GF(q), 3000, seed)
+        assert ([is_jordan_homomorphism(phi) for phi in maps]
+                == [_all_jordan_laws(phi) for phi in maps])
+
+    family = list(jordan_like_maps(V, GF(5)).values())
+    assert len(family) == 800
+    assert all(is_jordan_homomorphism(phi) and _all_jordan_laws(phi)
+               for phi in family)
+
+
+def test_jordan_homomorphism_in_char_2_still_checks_every_law():
+    # 29 maps of the 2-chain over GF(2) keep Jordan products and yet fail a
+    # square or aba law, so the Jordan products alone would be wrong there
+    P, F = chain(2), GF(2)
+    maps = [_map_from_index(P, F, m) for m in range(F.q ** (P.dim ** 2))]
+    got = [is_jordan_homomorphism(phi) for phi in maps]
+    assert got == [_all_jordan_laws(phi) for phi in maps]
+    assert sum(preserves_jordan_products(phi) and not hom
+               for phi, hom in zip(maps, got)) == 29
