@@ -105,6 +105,7 @@ class FieldSpec:
         self.kind = kind
         if kind == "rational":
             self.q = None
+            self._hash = hash((kind, None))
             self.p = 0
             self.m = 0
             self.char = 0
@@ -119,6 +120,7 @@ class FieldSpec:
         if pm is None:
             raise UnsupportedField(f"{q} is not a prime power")
         self.q = q
+        self._hash = hash((kind, q))
         self.p, self.m = pm
         self.char = self.p
         self.zero = 0
@@ -274,7 +276,7 @@ class FieldSpec:
                                  and self.kind == other.kind and self.q == other.q)
 
     def __hash__(self):
-        return hash((self.kind, self.q))
+        return self._hash
 
     def __repr__(self):
         return "QQ" if self.kind == "rational" else f"GF({self.q})"

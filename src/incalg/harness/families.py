@@ -53,17 +53,49 @@ def multiplicative_systems(P, F):
     return out
 
 
+def _sigma_classes(P, F, sigmas):
+    """(representatives, coboundaries): the first sigma of each class of
+    ``sigmas`` modulo the coboundaries c_xy = d_x / d_y, d in (F*)^n, in the
+    order given, and the set of coboundaries as strict-pair value tuples."""
+    strict = P.pairs[P.n:]
+    cobs = {tuple(F.div(d[i], d[j]) for i, j in strict)
+            for d in itertools.product(range(1, F.q), repeat=P.n)}
+    covered, reps = set(), []
+    for sigma in sigmas:
+        s = sigma.coeffs[P.n:]
+        if s not in covered:
+            reps.append(sigma)
+            covered.update(tuple(map(F.mul, s, c)) for c in cobs)
+    return reps, cobs
+
+
 def jordan_like_maps(P, F, budget=FAMILY_BUDGET):
     """Every map of the shape conjugation after order-induced after
     multiplicative scaling, both order-map kinds, deduplicated.
 
-    c * delta is central, so conjugating by c * beta equals conjugating by
-    beta: the conjugations are built once each, for the beta whose first
-    diagonal value is one (one per class modulo nonzero scalars). In the
-    enumeration order of ``invertible_elements`` those come first, so every
-    skipped beta would only repeat a map seen earlier in its (order map,
-    sigma) block, and the result, insertion order included, is that of
-    running over every beta.
+    The loops run over order maps lambda, then multiplicative systems sigma,
+    then conjugations beta, and keep the first map seen for each key. Two
+    reductions skip work whose maps are all seen earlier, so the result,
+    insertion order included, is that of running over every sigma and beta:
+
+    - c * delta is central, so conjugating by c * beta equals conjugating by
+      beta: the conjugations are built once each, for the beta whose first
+      diagonal value is one (one per class modulo nonzero scalars). In the
+      enumeration order of ``invertible_elements`` those come first, so a
+      skipped beta only repeats a map seen earlier in its (lambda, sigma)
+      block.
+    - A coboundary c_xy = d_x / d_y (d invertible and diagonal) scales like
+      a conjugation, M_c = conj(d), since d e_xy d^-1 = d_x d_y^-1 e_xy.
+      Diagonal maps commute, so M_(sigma c) = M_sigma conj(d) = conj(d)
+      M_sigma, and lambda^ conj(d) = conj(lambda^(d)^(+-1)) lambda^ for an
+      order-induced automorphism (+1) or anti-automorphism (-1). Hence
+      conj(beta) lambda^ M_(sigma c) = conj(beta lambda^(d)^(+-1)) lambda^
+      M_sigma: the block of sigma c is the block of sigma with beta renamed.
+      Only the first sigma of each class modulo coboundaries, in the order
+      of ``multiplicative_systems`` (the all-ones sigma first), is composed;
+      every later sigma of the class only adds keys its representative's
+      block, earlier in the same lambda, already added. On a poset whose
+      Hasse diagram is a tree every sigma is a coboundary, so one is left.
 
     Returns a dict keyed by the map's column tuple so membership tests and
     set comparison against sweep output are cheap.
@@ -71,7 +103,8 @@ def jordan_like_maps(P, F, budget=FAMILY_BUDGET):
     conjs = [conjugation_map(beta)
              for beta in invertible_elements(P, F, budget=budget)
              if beta.coeffs[0] == F.one]
-    sigmas = multiplicative_systems(P, F)
+    # (q-1)^n coboundaries: bounded by the invertible-element budget above
+    sigmas, _ = _sigma_classes(P, F, multiplicative_systems(P, F))
     oms = (enumerate_order_maps(P, "automorphism")
            + enumerate_order_maps(P, "anti_automorphism"))
     seen = {}
@@ -81,9 +114,7 @@ def jordan_like_maps(P, F, budget=FAMILY_BUDGET):
             base = compose(lam_hat, multiplicative_map(sigma))
             for conj in conjs:
                 m = compose(conj, base)
-                key = tuple(tuple(c) for c in m.cols)
-                if key not in seen:
-                    seen[key] = m
+                seen.setdefault(m.cols, m)
     return seen
 
 

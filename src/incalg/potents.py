@@ -95,12 +95,13 @@ def cached_potents(P, F, k, budget=DEFAULT_BUDGET):
     before the lookup: the cache key has no budget in it."""
     _check_scan(P, F, k, budget)
     key = (P, F, k)
-    if key not in _POTENT_CACHE:
+    tables = _POTENT_CACHE.get(key)
+    if tables is None:
         codes, digits, lookup = potent_code_tables(P, F, k, budget)
         elements = tuple(IncElement(P, F, [int(v) for v in row])
                          for row in digits)
-        _POTENT_CACHE[key] = PotentTables(codes, lookup, elements)
-    return _POTENT_CACHE[key]
+        tables = _POTENT_CACHE[key] = PotentTables(codes, lookup, elements)
+    return tables
 
 
 def enumerate_k_potents(P, F, k, budget=DEFAULT_BUDGET):

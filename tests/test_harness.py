@@ -15,8 +15,9 @@ from incalg.classify import classify_preserver, regime_of
 from incalg.errors import BudgetExceeded, UnsupportedRegime
 from incalg.field import GF, QQ
 from incalg.harness import kernels
-from incalg.harness.families import (bijective_shifts, invertible_elements,
-                                     jordan_like_maps, multiplicative_systems)
+from incalg.harness.families import (_sigma_classes, bijective_shifts,
+                                     invertible_elements, jordan_like_maps,
+                                     multiplicative_systems)
 from incalg.harness.gl import enumerate_gl, gl_order
 from incalg.harness.kernels import (build_sweep_tables, codes_of_linmap,
                                     image_codes, linmap_from_codes, sweep_gl)
@@ -291,22 +292,71 @@ def _reference_jordan_like_maps(P, F):
     return seen
 
 
-@pytest.mark.parametrize("P,q", [(chain(2), 3), (chain(2), 5), (vee(), 3),
-                                 (chain(3), 2), (chain(3), 3), (chain(1), 5)],
-                         ids=["chain2-gf3", "chain2-gf5", "vee-gf3",
-                              "chain3-gf2", "chain3-gf3", "chain1-gf5"])
-def test_jordan_like_maps_match_reference_loop(P, q):
-    # same keys in the same order, with equal maps, as the loop over every beta
+def _every_sigma_jordan_like_maps(P, F):
+    """The family as built before the sigma classes: every sigma, one
+    conjugation per beta class modulo nonzero scalars."""
+    conjs = [conjugation_map(beta) for beta in invertible_elements(P, F)
+             if beta.coeffs[0] == F.one]
+    seen = {}
+    for om in _order_maps(P):
+        lam_hat = order_induced_map(om, F)
+        for sigma in multiplicative_systems(P, F):
+            base = compose(lam_hat, multiplicative_map(sigma))
+            for conj in conjs:
+                m = compose(conj, base)
+                seen.setdefault(m.cols, m)
+    return seen
+
+
+def k22():
+    return poset_from_relations([1, 2, 3, 4], [(1, 3), (1, 4), (2, 3), (2, 4)])
+
+
+def fork():
+    return poset_from_relations([1, 2, 3, 4], [(1, 2), (2, 3), (1, 4)])
+
+
+REFERENCE_CASES = [(chain(2), 3), (chain(2), 5), (vee(), 3), (chain(3), 2),
+                   (chain(3), 3), (chain(1), 5)]
+REFERENCE_IDS = ["chain2-gf3", "chain2-gf5", "vee-gf3", "chain3-gf2",
+                 "chain3-gf3", "chain1-gf5"]
+
+
+@pytest.mark.parametrize(
+    "P,q,reference",
+    [(P, q, _reference_jordan_like_maps) for P, q in REFERENCE_CASES]
+    + [(k22(), 3, _every_sigma_jordan_like_maps),
+       (fork(), 3, _every_sigma_jordan_like_maps)],
+    ids=REFERENCE_IDS + ["k22-gf3", "fork-gf3"])
+def test_jordan_like_maps_match_reference_loop(P, q, reference):
+    # same keys in the same order, with equal maps, as the loop over every
+    # beta; K_{2,2} and the fork compare against the loop over every sigma
+    # (one beta per scalar class), since the every-beta loop takes about
+    # 46 s on K_{2,2}
     F = GF(q)
     assert (list(jordan_like_maps(P, F).items())
-            == list(_reference_jordan_like_maps(P, F).items()))
+            == list(reference(P, F).items()))
+
+
+@pytest.mark.parametrize("P,q,classes",
+                         [(P, q, 1) for P, q in REFERENCE_CASES]
+                         + [(fork(), 3, 1), (k22(), 3, 2)],
+                         ids=REFERENCE_IDS + ["fork-gf3", "k22-gf3"])
+def test_sigma_classes_partition_the_multiplicative_systems(P, q, classes):
+    # coboundaries act freely, so each class has |coboundaries| members; on
+    # a tree every sigma is a coboundary, on the 4-cycle of K_{2,2} not
+    F = GF(q)
+    sigmas = multiplicative_systems(P, F)
+    reps, cobs = _sigma_classes(P, F, sigmas)
+    assert len(reps) * len(cobs) == len(sigmas)
+    assert len(reps) == classes
+    assert all(c == F.one for c in reps[0].coeffs)
 
 
 def test_jordan_like_maps_need_sigma_on_k22():
     # the Hasse diagram of K_{2,2} is a 4-cycle, so it has multiplicative
     # systems that are not inner: half the family needs one
-    P, F = poset_from_relations([1, 2, 3, 4],
-                                [(1, 3), (1, 4), (2, 3), (2, 4)]), GF(3)
+    P, F = k22(), GF(3)
     fam = jordan_like_maps(P, F)
     assert len(fam) == 10_368
     lams = [order_induced_map(om, F) for om in _order_maps(P)]

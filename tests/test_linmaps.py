@@ -349,3 +349,28 @@ def test_jordan_homomorphism_in_char_2_still_checks_every_law():
     assert got == [_all_jordan_laws(phi) for phi in maps]
     assert sum(preserves_jordan_products(phi) and not hom
                for phi, hom in zip(maps, got)) == 29
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_algebra_iso_checks_the_pairs_a_after_b(q):
+    # on V = {1<2, 1<3}, e12 -> e12 + e13 (identity on the rest) is
+    # bijective, fixes delta and keeps e_a e_b for every basis pair a <= b;
+    # only a pair a > b, (e12, e22), shows it is no algebra map
+    P, F = poset_from_relations([1, 2, 3], [(1, 2), (1, 3)]), GF(q)
+    images = {(x, y): basis_element(P, F, x, y)
+              for x, y in P.comparable_pairs()}
+    images[(1, 2)] = images[(1, 2)] + images[(1, 3)]
+    phi = linmap_from_pair_images(P, F, images)
+    assert is_bijective(phi)
+    assert apply_map(phi, delta(P, F)) == delta(P, F)
+    es = [basis_element(P, F, x, y) for x, y in P.comparable_pairs()]
+    assert all(apply_map(phi, convolve(es[a], es[b]))
+               == convolve(phi.image(a), phi.image(b))
+               for a, b in itertools.combinations_with_replacement(
+                   range(P.dim), 2))
+    a, b = P.pair_index(1, 2), P.pair_index(2, 2)
+    assert a > b
+    assert (apply_map(phi, convolve(es[a], es[b]))
+            != convolve(phi.image(a), phi.image(b)))
+    assert not is_algebra_automorphism(phi)
+    assert not is_algebra_anti_automorphism(phi)
