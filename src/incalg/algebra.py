@@ -130,13 +130,14 @@ def _check_same(f, g):
 
 
 def from_triples(P, F, triples):
+    """The element with the given (x, y, scalar) entries; each scalar goes
+    through ``F.parse``, so codes and strings are checked alike."""
     coeffs = [F.zero] * P.dim
-    for x, y, code in triples:
-        k = P.pair_index(x, y)
-        if isinstance(code, str):
-            coeffs[k] = F.parse(code)
-        else:
-            coeffs[k] = code if F.is_finite() else Fraction(code)
+    for t in triples:
+        if not isinstance(t, (list, tuple)) or len(t) != 3:
+            raise StructureMismatch(f"{t!r} is not an (x, y, scalar) triple")
+        x, y, code = t
+        coeffs[P.pair_index(x, y)] = F.parse(code)
     return IncElement(P, F, coeffs)
 
 

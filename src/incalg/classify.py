@@ -119,6 +119,10 @@ def jordan_decompose(phi):
     except ValueError as e:
         raise LambdaNotOrderMap(str(e), detail=lam) from e
 
+    # potents.simultaneous_diagonalize specialized to orthogonal idempotents
+    # with diagonals e_lam(i): at the point lam(i) its product over j is
+    # phi(e_i) alone, so beta = sum_i phi(e_i) e_lam(i) costs n convolutions
+    # against the general formula's n^2
     beta = None
     for i in range(P.n):
         term = convolve(phi.image(i),

@@ -107,7 +107,10 @@ def cmd_decompose(args):
 def cmd_spectral(args):
     P = _load_poset(args.poset)
     F = field_from_flag(args.field)
-    f = from_triples(P, F, [tuple(t) for t in json.loads(_read_source(args.element))])
+    triples = json.loads(_read_source(args.element))
+    if not isinstance(triples, list):
+        raise ValueError("--element must be a JSON list of [x, y, value] triples")
+    f = from_triples(P, F, triples)
     try:
         spec = spectral_decompose(f, args.k)
         sigma = conjugate_to_diagonal(f, args.k)

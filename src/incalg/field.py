@@ -259,13 +259,26 @@ class FieldSpec:
         return str(a)  # Fraction str is "p/q", finite codes are bare ints
 
     def parse(self, s):
-        s = s.strip()
+        """A raw scalar from outside the program. Over GF(q): an int (not a
+        bool) in 0..q-1 or a string of its digits. Over Q: an int, a
+        Fraction, or a string Fraction reads with a nonzero denominator.
+        Anything else is refused with UnsupportedField."""
+        if isinstance(s, str):
+            s = s.strip()
         if self.kind == "rational":
-            return Fraction(s)
-        v = int(s)
-        if not 0 <= v < self.q:
-            raise UnsupportedField(f"scalar code {v} out of range for GF({self.q})")
-        return v
+            if isinstance(s, (int, Fraction)) and not isinstance(s, bool):
+                return Fraction(s)
+            if isinstance(s, str):
+                try:
+                    return Fraction(s)
+                except (ValueError, ZeroDivisionError):
+                    pass
+            raise UnsupportedField(f"{s!r} is not a rational scalar")
+        if isinstance(s, str) and s.isascii() and s.isdigit():
+            s = int(s)
+        if not isinstance(s, int) or isinstance(s, bool) or not 0 <= s < self.q:
+            raise UnsupportedField(f"{s!r} is not a scalar code of GF({self.q})")
+        return s
 
     def flag(self):
         """The --field token naming this field."""

@@ -80,6 +80,8 @@ def _rows_to_set(rows):
 def _spot_indices(n, spot):
     if n <= spot:
         return list(range(n))
+    if spot == 0:
+        return []
     step = n // spot
     return [i * step for i in range(spot)]
 
@@ -139,6 +141,8 @@ THEOREMS = tuple(_STATEMENTS)
 
 def verify_theorem(theorem, P, F, k=None, workers=1, backend=None,
                    budget=DEFAULT_BUDGET, spot=SPOT_DEFAULT):
+    if spot < 0:
+        raise ValueError(f"spot must be >= 0; got {spot}")
     if theorem not in _STATEMENTS:
         raise ValueError(f"unknown theorem {theorem!r}; choose from {THEOREMS}")
     st = _STATEMENTS[theorem]

@@ -301,19 +301,11 @@ def is_multiplicative_coeffs(sigma):
     """Whether an element's values form a multiplicative system: nonzero
     everywhere, 1 on the diagonal, sigma(x,z) = sigma(x,y) sigma(y,z)."""
     P, F = sigma.poset, sigma.field
-    z = F.zero
-    if any(c == z for c in sigma.coeffs):
+    c = sigma.coeffs
+    if any(v == F.zero for v in c) or any(v != F.one for v in c[:P.n]):
         return False
-    if any(c != F.one for c in sigma.coeffs[:P.n]):
-        return False
-    for a, (i, j) in enumerate(P.pairs):
-        for t in range(i, j + 1):
-            if P._leq[i][t] and P._leq[t][j]:
-                left = sigma.coeffs[P.pair_pos[(i, t)]]
-                right = sigma.coeffs[P.pair_pos[(t, j)]]
-                if F.mul(left, right) != sigma.coeffs[a]:
-                    return False
-    return True
+    return all(F.mul(c[a], c[b]) == c[m]
+               for a, row in enumerate(P.prod_terms) for b, m in row)
 
 
 def multiplicative_map(sigma):

@@ -9,8 +9,6 @@ every element and map in the package uses.
 
 import json
 
-import numpy as np
-
 from .errors import CycleError, EmptyPoset, IncomparablePair, UnknownLabel
 
 
@@ -42,22 +40,11 @@ class Poset:
         self.pair_pos = {pr: k for k, pr in enumerate(self.pairs)}
 
         # single-step structure constants: e_(x,y) e_(u,v) = [y==u] e_(x,v);
-        # prod_table is the numpy form the batch scan indexes, prod_terms the
-        # nonzero (b, m) entries of each row as Python ints for the exact
-        # coefficient kernel
-        prod = np.full((self.dim, self.dim), -1, dtype=np.int16)
-        terms = []
-        for a, (x, y) in enumerate(self.pairs):
-            row = []
-            for b, (u, v) in enumerate(self.pairs):
-                if y == u:
-                    m = self.pair_pos[(x, v)]
-                    prod[a, b] = m
-                    row.append((b, m))
-            terms.append(tuple(row))
-        self.prod_table = prod
-        self.prod_table.setflags(write=False)
-        self.prod_terms = tuple(terms)
+        # prod_terms[a] lists the nonzero (b, m) of row a, b ascending
+        self.prod_terms = tuple(
+            tuple((b, self.pair_pos[(x, v)])
+                  for b, (u, v) in enumerate(self.pairs) if y == u)
+            for x, y in self.pairs)
 
         covers = []
         for i, j in strict:
@@ -79,7 +66,7 @@ class Poset:
     def _idx(self, x):
         try:
             return self.index[x]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable label
             raise UnknownLabel(f"{x!r} is not an element") from None
 
     @property

@@ -3,8 +3,8 @@ simultaneous diagonalization by an inner conjugation.
 
 The exhaustive scan is vectorized: every element of the coefficient space is
 a base-q code, the whole space is raised to the k-th power at once through
-the poset's structure-constant table, and the survivors of f^k = f come back
-in code order. The same code/lookup arrays drive the fast sweep kernels.
+the poset's single-step structure constants, and the survivors of f^k = f
+come back in code order. The same code/lookup arrays drive the fast sweep kernels.
 """
 
 from dataclasses import dataclass
@@ -12,15 +12,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import (IncElement, convolve, delta, diagonal_part, is_k_potent,
-                      conjugate)
+from .algebra import (IncElement, basis_element, convolve, delta,
+                      diagonal_part, is_k_potent, conjugate)
 from .errors import (BudgetExceeded, HypothesesNotMet, InternalConsistencyError,
                      NoPrimitiveRoot, NotConjugate, NotIdempotent, NotCommuting,
                      NotKPotent, StructureMismatch, UnsupportedField)
 from .field import Scalar, primitive_root_of_unity, roots_of_unity
 
 DEFAULT_BUDGET = 1 << 20
-SIMDIAG_MAX = 20
 
 
 def space_digits(P, F):
@@ -36,17 +35,12 @@ def space_digits(P, F):
 
 def batch_convolve(A, B, P, F):
     """Row-wise convolution of two (N, dim) digit arrays."""
-    prod = P.prod_table
     add_t, mul_t = F.add_np, F.mul_np
     out = np.zeros_like(A)
-    dim = A.shape[1]
-    for a in range(dim):
+    for a, row in enumerate(P.prod_terms):
         fa = A[:, a]
-        row = prod[a]
-        for b in range(dim):
-            m = row[b]
-            if m >= 0:
-                out[:, m] = add_t[out[:, m], mul_t[fa, B[:, b]]]
+        for b, m in row:
+            out[:, m] = add_t[out[:, m], mul_t[fa, B[:, b]]]
     return out
 
 
@@ -184,17 +178,19 @@ def simultaneous_diagonalize(alphas):
     """An invertible beta with beta_D = delta conjugating every alpha_i to
     its diagonal part: alpha_i = beta (alpha_i)_D beta^-1.
 
-    The alphas must be pairwise commuting idempotents; the construction sums
-    2^n products, so n is capped.
+    The alphas must be pairwise commuting idempotents. With eps_i =
+    (alpha_i)_D, beta is the sum over S of prod_{i in S} alpha_i
+    prod_{i not in S} (delta - alpha_i) times the same product of the eps_i.
+    Each eps_i is a diagonal idempotent, so that eps product is the sum of
+    the e_x whose pattern {i : eps_i(x) = 1} is S, and the sum collapses to
+    beta = sum_x (prod_i f_i(x)) e_x, with f_i(x) = alpha_i if eps_i(x) = 1
+    and delta - alpha_i otherwise: n products per point.
     """
     alphas = list(alphas)
     if not alphas:
         raise ValueError("need at least one idempotent")
     P, F = alphas[0].poset, alphas[0].field
     n = len(alphas)
-    if n > SIMDIAG_MAX:
-        raise BudgetExceeded(f"2^{n} terms exceed the cap 2^{SIMDIAG_MAX}",
-                             required=2 ** n)
     for a in alphas:
         if a.poset != P or a.field != F:
             raise StructureMismatch("idempotents over different structures")
@@ -206,13 +202,14 @@ def simultaneous_diagonalize(alphas):
                 raise NotCommuting(f"inputs {i} and {j} do not commute")
     d = delta(P, F)
     eps = [diagonal_part(a) for a in alphas]
+    complements = [d - a for a in alphas]
     beta = None
-    for bits in range(1 << n):
-        term = d
-        for i in range(n):
-            term = convolve(term, alphas[i] if (bits >> i) & 1 else d - alphas[i])
-        for i in range(n):
-            term = convolve(term, eps[i] if (bits >> i) & 1 else d - eps[i])
+    for x, label in enumerate(P.labels):
+        # prod_i f_i(x) e_x, multiplied from the right
+        term = basis_element(P, F, label, label)
+        for i in reversed(range(n)):
+            f_i = alphas[i] if eps[i].coeffs[x] == F.one else complements[i]
+            term = convolve(f_i, term)
         beta = term if beta is None else beta + term
     if diagonal_part(beta) != d:
         raise InternalConsistencyError("diagonalizer has non-identity diagonal", beta)

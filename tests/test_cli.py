@@ -7,7 +7,10 @@ import sys
 
 import pytest
 
+from incalg.algebra import conjugate, from_triples
 from incalg.cli import main
+from incalg.field import GF
+from incalg.poset import chain
 
 IDENTITY_MAP_GF5 = "5 3\n1 0 0\n0 1 0\n0 0 1\n"
 DOUBLED_MAP_GF5 = "5 3\n2 0 0\n0 2 0\n0 0 2\n"
@@ -122,6 +125,14 @@ def test_verify_fixed_k_theorem_refuses_other_k(capsys, k, code):
         assert out["error"] == "ValueError"
 
 
+def test_verify_spot_zero_takes_no_samples(capsys):
+    code, out = run(capsys, "verify", "--poset", "chain:2", "--field", "3",
+                    "--theorem", "char-ne-2", "--spot", "0")
+    assert code == 0
+    assert out["match"] is True
+    assert out["samples"] == []
+
+
 def test_verify_survives_closed_stdout():
     # a reader that stops early (``| head -1``) must not turn a matched run
     # into exit code 1 or print a traceback
@@ -198,13 +209,45 @@ def test_spectral_obstructed_input_exits_one(capsys):
     assert out["error"] == "HypothesesNotMet"
 
 
-def test_spectral_budget_refusal_exits_two(capsys):
-    # diagonalizing a 22-potent means 21 idempotents, and the 2^21 products
-    # of the simultaneous diagonalization exceed its cap
+def test_spectral_many_idempotents_exits_zero(capsys):
+    # diagonalizing a 22-potent means 21 idempotents; the diagonalizer does
+    # n products per point, so no cap on n is needed
     code, out = run(capsys, "spectral", "--poset", "chain:1", "--field", "43",
                     "--k", "22", "--element", "[[1,1,1]]")
-    assert code == 2
-    assert out["error"] == "BudgetExceeded"
+    assert code == 0
+    assert len(out["idempotents"]) == 21
+    P, F = chain(1), GF(43)
+    f, sigma, diag = (from_triples(P, F, out[key]) for key in
+                      ("element", "conjugator", "diagonal_form"))
+    assert diag.is_diagonal()
+    assert conjugate(diag, sigma) == f
+
+
+@pytest.mark.parametrize("field,command,payload", [
+    ("5", "spectral", "[[1,1,7]]"),
+    ("5", "spectral", "[[1,1,1.5]]"),
+    ("5", "spectral", "[1]"),
+    ("5", "spectral", "[null]"),
+    # -1 would index the field tables from the end: 4 e11 + e22 is tripotent
+    ("5", "spectral", "[[1,1,-1],[2,2,1]]"),
+    ("5", "spectral", "[[1,1,true]]"),
+    ("5", "spectral", "[[1,1]]"),
+    ("5", "spectral", "5"),
+    ("5", "spectral", "{}"),
+    ("Q", "spectral", '[[1,1,"1/0"]]'),
+    ("Q", "decompose", "Q 3\n1 0 0\n0 1 0\n0 1/0 1\n"),
+], ids=["code-out-of-range", "float", "bare-int", "null", "negative-code",
+        "bool", "two-items", "number", "object", "q-zero-denominator-element",
+        "q-zero-denominator-map"])
+def test_malformed_scalars_and_triples_exit_two(field, command, payload):
+    flag = "--element" if command == "spectral" else "--map"
+    proc = subprocess.run(
+        [sys.executable, "-m", "incalg.cli", command, "--poset", "chain:2",
+         "--field", field, "--k", "3", flag, "-"],
+        input=payload, capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "error" in json.loads(proc.stdout)
+    assert "Traceback" not in proc.stderr
 
 
 def test_demo_all(capsys):

@@ -124,6 +124,31 @@ def test_rationals():
         F.elements()
 
 
+@pytest.mark.parametrize("raw,want", [(3, 3), ("4", 4), (" 0 ", 0)])
+def test_parse_finite_accepts_codes_and_digit_strings(raw, want):
+    assert GF(5).parse(raw) == want
+
+
+@pytest.mark.parametrize("raw", [5, -1, True, 1.5, None, [1], "-1", "x", "",
+                                 Fraction(1, 2)])
+def test_parse_finite_refuses_everything_else(raw):
+    with pytest.raises(UnsupportedField):
+        GF(5).parse(raw)
+
+
+@pytest.mark.parametrize("raw,want", [(-3, Fraction(-3)), ("1/2", Fraction(1, 2)),
+                                      (Fraction(2, 3), Fraction(2, 3)),
+                                      (" -4/6 ", Fraction(-2, 3))])
+def test_parse_rational_accepts_ints_and_fractions(raw, want):
+    assert QQ().parse(raw) == want
+
+
+@pytest.mark.parametrize("raw", ["1/0", "x", "", False, 1.5, None, [1]])
+def test_parse_rational_refuses_everything_else(raw):
+    with pytest.raises(UnsupportedField):
+        QQ().parse(raw)
+
+
 def test_from_int_and_char():
     assert GF(4).char == 2
     assert GF(9).char == 3

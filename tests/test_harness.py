@@ -361,8 +361,9 @@ def test_jordan_like_maps_need_sigma_on_k22():
     assert len(fam) == 10_368
     lams = [order_induced_map(om, F) for om in _order_maps(P)]
     assert len(lams) == 8
-    inner = {compose(conjugation_map(beta), lam).cols
-             for lam in lams for beta in invertible_elements(P, F)}
+    conjugations = [conjugation_map(beta) for beta in invertible_elements(P, F)]
+    assert len(conjugations) == 1_296
+    inner = {compose(conj, lam).cols for lam in lams for conj in conjugations}
     assert len(inner) == 5_184 and inner <= fam.keys()
     need_sigma = [key for key in fam if key not in inner]
     assert len(need_sigma) == 5_184
@@ -434,6 +435,13 @@ def test_verify_theorem_argument_validation():
         verify_theorem("kpotent", P, GF(5), k=5)  # char divides k
     with pytest.raises(ValueError):
         verify_theorem("no-such-theorem", P, GF(2))
+    # a negative spot is refused before the tables: chain(3) over GF(7)
+    # would otherwise be refused for its budget
+    with pytest.raises(ValueError):
+        verify_theorem("char-ne-2", chain(3), GF(7), spot=-1)
+    report = verify_theorem("char-ne-2", P, GF(3), spot=0)
+    assert report.match and report.samples == []
+    assert report.preserver_count == 12
 
 
 # the statement that covers (GF(q), k), read off the paper's case split;

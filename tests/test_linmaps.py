@@ -87,6 +87,30 @@ def test_multiplicative_map_and_coeff_predicate():
         multiplicative_map(bad)
 
 
+def _interval_multiplicative(sigma):
+    # the law along every interval: sigma(i,t) sigma(t,j) = sigma(i,j) for
+    # each i <= t <= j
+    P, F = sigma.poset, sigma.field
+    c = sigma.coeffs
+    return all(F.mul(c[P.pair_pos[(i, t)]], c[P.pair_pos[(t, j)]]) == c[a]
+               for a, (i, j) in enumerate(P.pairs)
+               for t in range(i, j + 1) if P._leq[i][t] and P._leq[t][j])
+
+
+@pytest.mark.parametrize("P,q", [
+    (chain(3), 5), (chain(4), 3), (fork(), 3)],
+    ids=["chain3-gf5", "chain4-gf3", "fork-gf3"])
+def test_multiplicative_predicate_equals_the_interval_law(P, q):
+    # every nonzero strict part over a unit diagonal
+    F = GF(q)
+    verdicts = []
+    for strict in itertools.product(range(1, q), repeat=P.n_strict):
+        sigma = IncElement(P, F, (1,) * P.n + strict)
+        verdicts.append(is_multiplicative_coeffs(sigma))
+        assert verdicts[-1] == _interval_multiplicative(sigma)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
 def test_shift_maps():
     P, F = chain(2), GF(2)
     svals = [0, 0, 1]

@@ -5,13 +5,15 @@ import random
 
 import pytest
 
+from incalg import potents
 from incalg.algebra import (IncElement, basis_element, conjugate, convolve,
                             delta, diagonal_part, from_triples, is_k_potent,
                             power, try_inverse, zero)
 from incalg.errors import (BudgetExceeded, HypothesesNotMet, NotCommuting,
                            NotIdempotent, NotKPotent, UnsupportedField)
-from incalg.field import GF, QQ, roots_of_unity
-from incalg.poset import chain
+from incalg.field import GF, QQ, primitive_root_of_unity, roots_of_unity
+from incalg.harness.kernels import linmap_from_codes, sweep_gl
+from incalg.poset import chain, poset_from_relations
 from incalg.potents import (conjugate_to_diagonal, enumerate_k_potents,
                             is_primitive_idempotent, sample_k_potents,
                             simultaneous_diagonalize, spectral_decompose)
@@ -124,6 +126,103 @@ def test_simultaneous_diagonalization_all_commuting_idempotent_pairs():
                 conj = convolve(convolve(bi, x), beta)
                 assert conj.is_diagonal()
         assert n_pairs > len(idems)  # commuting pairs exist beyond (f, f)
+
+
+def _subset_sum_diagonalizer(alphas):
+    """The diagonalizer as first built, kept as an oracle: the sum over all
+    2^n subsets S of prod_{i in S} alpha_i prod_{i not in S} (delta - alpha_i)
+    times the same product of the diagonal parts eps_i."""
+    P, F = alphas[0].poset, alphas[0].field
+    d = delta(P, F)
+    eps = [diagonal_part(a) for a in alphas]
+    beta = None
+    for bits in range(1 << len(alphas)):
+        term = d
+        for i, a in enumerate(alphas):
+            term = convolve(term, a if (bits >> i) & 1 else d - a)
+        for i, e in enumerate(eps):
+            term = convolve(term, e if (bits >> i) & 1 else d - e)
+        beta = term if beta is None else beta + term
+    return beta
+
+
+def _vee():
+    return poset_from_relations([1, 2, 3], [(1, 2), (1, 3)])
+
+
+def _fork():
+    return poset_from_relations([1, 2, 3, 4], [(1, 2), (2, 3), (1, 4)])
+
+
+def _k22():
+    return poset_from_relations([1, 2, 3, 4], [(1, 3), (1, 4), (2, 3), (2, 4)])
+
+
+SPECTRAL_POSETS = [(chain(2), "chain2"), (chain(3), "chain3"), (_vee(), "vee"),
+                   (_fork(), "fork"), (_k22(), "k22")]
+
+
+@pytest.mark.parametrize("P", [p for p, _ in SPECTRAL_POSETS],
+                         ids=[name for _, name in SPECTRAL_POSETS])
+def test_diagonalizer_equals_the_subset_sum_on_spectral_idempotents(P):
+    # the spectral idempotents of sampled k-potents, for every (q, k) in
+    # q in {2, 3, 5, 7}, k in 2..5 whose field has a primitive (k-1)-th root
+    rng = random.Random(2024)
+    cases = 0
+    for q in (2, 3, 5, 7):
+        F = GF(q)
+        for k in range(2, 6):
+            if (q - 1) % (k - 1):
+                continue
+            for f in sample_k_potents(P, F, k, 10, rng):
+                alphas = list(spectral_decompose(f, k).idempotents)
+                assert simultaneous_diagonalize(alphas) == \
+                    _subset_sum_diagonalizer(alphas)
+                cases += 1
+    assert cases == 10 * 9
+
+
+@pytest.mark.parametrize("P", [chain(2), _vee()], ids=["chain2", "vee"])
+def test_diagonalizer_equals_the_subset_sum_on_preserver_images(P):
+    # the alphas z2_decompose diagonalizes: phi(e_x) for every idempotent
+    # preserver phi of I(P, GF(2)) the sweep finds
+    F = GF(2)
+    res = sweep_gl(P, F, 2)
+    for row in res.preservers:
+        phi = linmap_from_codes(P, F, tuple(int(v) for v in row))
+        alphas = [phi.image(i) for i in range(P.n)]
+        assert simultaneous_diagonalize(alphas) == \
+            _subset_sum_diagonalizer(alphas)
+    assert res.preservers.shape[0] == {3: 8, 5: 128}[P.dim]
+
+
+def test_diagonalizer_costs_n_products_per_point(monkeypatch):
+    calls = []
+
+    def counting(f, g):
+        calls.append(1)
+        return convolve(f, g)
+
+    monkeypatch.setattr(potents, "convolve", counting)
+    P, F = _fork(), GF(5)
+    for f in sample_k_potents(P, F, 5, 4, random.Random(7)):
+        alphas = list(spectral_decompose(f, 5).idempotents)
+        n = len(alphas)
+        calls.clear()
+        simultaneous_diagonalize(alphas)
+        # n idempotence checks, n(n-1) commutation products, then the loop:
+        # n products for each of the |X| points
+        assert len(calls) == n + n * (n - 1) + n * P.n
+
+
+def test_diagonalizer_takes_many_idempotents():
+    # 21 idempotents, far past the 2^20 terms the subset sum could afford
+    P, F = chain(2), GF(43)
+    f = from_triples(P, F, [(1, 1, 1), (2, 2, primitive_root_of_unity(F, 21).value),
+                            (1, 2, 5)])
+    assert is_k_potent(f, 22)
+    sigma = conjugate_to_diagonal(f, 22)
+    assert conjugate(diagonal_part(f), sigma) == f
 
 
 def test_simultaneous_diagonalization_rejections():
