@@ -131,13 +131,14 @@ def _check_same(f, g):
 
 def from_triples(P, F, triples):
     """The element with the given (x, y, scalar) entries; each scalar goes
-    through ``F.parse``, so codes and strings are checked alike."""
+    through ``F.parse``, so codes and strings are checked alike. A list label
+    is read as a tuple, one level deep, as ``parse_poset`` reads JSON."""
     coeffs = [F.zero] * P.dim
     for t in triples:
         if not isinstance(t, (list, tuple)) or len(t) != 3:
             raise StructureMismatch(f"{t!r} is not an (x, y, scalar) triple")
-        x, y, code = t
-        coeffs[P.pair_index(x, y)] = F.parse(code)
+        x, y = (tuple(v) if isinstance(v, list) else v for v in t[:2])
+        coeffs[P.pair_index(x, y)] = F.parse(t[2])
     return IncElement(P, F, coeffs)
 
 

@@ -37,7 +37,7 @@ from ..linmaps import LinMap
 from ..potents import DEFAULT_BUDGET, batch_convolve, cached_potents, space_digits
 from .gl import gl_order
 
-SWEEP_SPACE_CAP = 4096  # conv table is space^2 entries; sweeps stay desk-scale
+SWEEP_SPACE_CAP = 4096  # vec_add is space^2 entries; sweeps stay desk-scale
 
 
 # --- shared tables ---
@@ -51,24 +51,25 @@ class SweepTables:
     dig: np.ndarray        # (space, dim) uint8, base-q digits of every code
     vec_add: np.ndarray    # (space, space) int64, codewise vector addition
     vec_smul: np.ndarray   # (q, space) int64, scalar times vector
-    vec_neg: np.ndarray    # (space,) int64
-    conv: np.ndarray       # (space, space) int64, codewise convolution
-    lie_b: np.ndarray      # (dim, dim) int64, codes of [e_a, e_b]
+    square: np.ndarray     # (space,) int64, code of f^2
     basis: np.ndarray      # (dim,) int64, codes of basis vectors
-    pot_codes: np.ndarray  # (npot,) int64, k-potents in code order
-    pot_lookup: np.ndarray  # (space,) uint8 membership
 
 
 _TABLES_CACHE = {}
 
 
-def _encode(digit_rows, q):
-    dim = digit_rows.shape[-1]
-    qpow = q ** np.arange(dim, dtype=np.int64)
-    return (digit_rows.astype(np.int64) * qpow).sum(axis=-1)
+def _encode(digit, dim, q):
+    """Codes whose digit j is the array ``digit(j)``, summed by Horner one
+    digit plane at a time: no array of all the digits is made."""
+    out = digit(dim - 1).astype(np.int64)
+    for j in range(dim - 2, -1, -1):
+        out *= q
+        out += digit(j)
+    return out
 
 
-def build_sweep_tables(P, F, k, budget=DEFAULT_BUDGET):
+def build_sweep_tables(P, F, budget=DEFAULT_BUDGET):
+    """The code tables of I(P, F) that every sweep reads, cached per (P, F)."""
     if not F.is_finite():
         raise UnsupportedField("sweeps need a finite field")
     q, dim = F.q, P.dim
@@ -82,34 +83,27 @@ def build_sweep_tables(P, F, k, budget=DEFAULT_BUDGET):
         raise BudgetExceeded(
             f"coefficient space {space} exceeds the sweep cap {SWEEP_SPACE_CAP}",
             required=space)
-    key = (P, F, k)
+    key = (P, F)
     if key in _TABLES_CACHE:
         return _TABLES_CACHE[key]
-    pots = cached_potents(P, F, k, budget=budget)
     _, dig = space_digits(P, F)
-
-    add_np, mul_np = F.add_np, F.mul_np
-    vec_add = _encode(add_np[dig[:, None, :], dig[None, :, :]], q)
-    vec_smul = np.stack([_encode(mul_np[c, dig], q) for c in range(q)])
-    neg_t = np.array([F.neg(c) for c in range(q)], dtype=np.uint8)
-    vec_neg = _encode(neg_t[dig], q)
-
-    rep = np.repeat(np.arange(space, dtype=np.int64), space)
-    til = np.tile(np.arange(space, dtype=np.int64), space)
-    conv = _encode(batch_convolve(dig[rep], dig[til], P, F), q).reshape(space, space)
-
-    basis = q ** np.arange(dim, dtype=np.int64)
-    lie_b = np.zeros((dim, dim), dtype=np.int64)
-    for a in range(dim):
-        for b in range(dim):
-            ab = conv[basis[a], basis[b]]
-            ba = conv[basis[b], basis[a]]
-            lie_b[a, b] = vec_add[ab, vec_neg[ba]]
-
-    tab = SweepTables(dim, P.n, q, space, dig, vec_add, vec_smul, vec_neg,
-                      conv, lie_b, basis, pots.codes, pots.lookup)
+    squares = batch_convolve(dig, dig, P, F)
+    tab = SweepTables(
+        dim, P.n, q, space, dig,
+        _encode(lambda j: F.add_np[dig[:, None, j], dig[None, :, j]], dim, q),
+        _encode(lambda j: F.mul_np[:, dig[:, j]], dim, q),
+        _encode(lambda j: squares[:, j], dim, q),
+        q ** np.arange(dim, dtype=np.int64))
     _TABLES_CACHE[key] = tab
     return tab
+
+
+def bracket_table(P, F, tab):
+    """(space, space) int64 codes of the Lie bracket [f, g] = fg - gf."""
+    fg = batch_convolve(tab.dig[:, None, :], tab.dig[None, :, :], P, F)
+    neg = F.mul_np[F.neg(F.one)]
+    return _encode(lambda j: F.add_np[fg[..., j], neg[fg[..., j].T]],
+                   tab.dim, tab.q)
 
 
 def codes_of_linmap(phi):
@@ -159,41 +153,33 @@ def image_codes(tab, t, cols, rows=Ellipsis):
     return w
 
 
-def _keep_potents(tab, cols, alive, codes):
-    """The rows of ``alive`` whose map sends every code in ``codes`` to a
-    k-potent."""
+def _keep_potents(tab, lookup, cols, alive, codes):
+    """The rows of ``alive`` whose map sends every code in ``codes`` into the
+    membership table ``lookup``."""
     for t in codes:
         if alive.size == 0:
             break
-        alive = alive[tab.pot_lookup[image_codes(tab, t, cols, alive)] != 0]
+        alive = alive[lookup[image_codes(tab, t, cols, alive)] != 0]
     return alive
 
 
-def _keep_brackets(tab, cols, alive, pairs):
+def _keep_brackets(tab, bracket, cols, alive, pairs):
     """The rows of ``alive`` whose map keeps the Lie bracket of every basis
     pair in ``pairs``."""
     for a, b in pairs:
         if alive.size == 0:
             break
-        ca, cb = cols[alive, a], cols[alive, b]
-        ba = tab.conv[cb, ca]
-        rhs = tab.vec_add[tab.conv[ca, cb], tab.vec_neg[ba]]
-        image = image_codes(tab, int(tab.lie_b[a, b]), cols, alive)
-        alive = alive[image == rhs]
+        image = image_codes(tab, int(bracket[tab.basis[a], tab.basis[b]]),
+                            cols, alive)
+        alive = alive[image == bracket[cols[alive, a], cols[alive, b]]]
     return alive
-
-
-def _mask(n, rows):
-    out = np.zeros(n, dtype=bool)
-    out[rows] = True
-    return out
 
 
 def _idempotent_diagonal(tab, cols):
     exid = np.ones(len(cols), dtype=bool)
     for x in range(tab.n):
         cx = cols[:, x]
-        exid &= tab.conv[cx, cx] == cx
+        exid &= tab.square[cx] == cx
     return exid
 
 
@@ -203,8 +189,9 @@ def _grow_spans(tab, spans, cands):
     """Span masks after appending column ``cands[r]`` to row r."""
     arange_sp = np.arange(tab.space, dtype=np.int64)
     grown = spans.copy()
+    # x is in the grown span iff x + c v is in the old one for some c in F
     for cc in range(1, tab.q):
-        shift = tab.vec_neg[tab.vec_smul[cc, cands]]
+        shift = tab.vec_smul[cc, cands]
         idx = tab.vec_add[shift[:, None], arange_sp[None, :]]
         grown |= np.take_along_axis(spans, idx, axis=1)
     return grown
@@ -234,10 +221,10 @@ def _support_top(tab, code):
 
 
 def _idempotent_frames(tab):
-    """Ordered n-tuples of independent idempotent codes: the choices for the
-    diagonal columns of a map in GL with idempotent diagonal images."""
-    codes = np.arange(tab.space)
-    idem = tab.conv[codes, codes] == codes
+    """The number of ordered n-tuples of independent idempotent codes: the
+    choices for the diagonal columns of a map in GL with idempotent diagonal
+    images."""
+    idem = tab.square == np.arange(tab.space)
     _, spans = _root(tab)
     count = 0
     for depth in range(tab.n):
@@ -256,17 +243,19 @@ class _Search:
     """One level-pruned search of GL: the constraints decided at each depth,
     the per-level counters, and the leaves found so far."""
 
-    def __init__(self, tab, want_lie):
+    def __init__(self, P, F, tab, pots, want_lie):
         self.tab = tab
         self.want_lie = want_lie
+        self.lookup = pots.lookup
         self.pots = [[] for _ in range(tab.dim)]
-        for t in tab.pot_codes:
+        for t in pots.codes:
             self.pots[_support_top(tab, t)].append(int(t))
         self.pairs = [[] for _ in range(tab.dim)]
+        self.bracket = bracket_table(P, F, tab) if want_lie else None
         if want_lie:
             for a, b in itertools.combinations(range(tab.dim), 2):
-                depth = max(b, _support_top(tab, tab.lie_b[a, b]))
-                self.pairs[depth].append((a, b))
+                code = self.bracket[tab.basis[a], tab.basis[b]]
+                self.pairs[max(b, _support_top(tab, code))].append((a, b))
         self.completions = _completions(tab)
         self.chunk = max(1, _CHUNK_CELLS // tab.space)
         self.levels = [dict.fromkeys(_LEVEL_KEYS, 0) for _ in range(tab.dim)]
@@ -288,12 +277,12 @@ class _Search:
         rows, cands = np.nonzero(~spans & allowed)
         cols = np.concatenate([prefixes[rows], cands[:, None]], axis=1)
         alive = alive[rows]  # a child starts with its parent's flags
-        pres = _keep_potents(tab, cols, np.flatnonzero(alive[:, 0]),
-                             self.pots[depth])
-        lie = _keep_brackets(tab, cols, np.flatnonzero(alive[:, 1]),
-                             self.pairs[depth])
-        flags = np.stack([_mask(len(cols), pres), _mask(len(cols), lie)],
-                         axis=1)
+        pres = _keep_potents(tab, self.lookup, cols,
+                             np.flatnonzero(alive[:, 0]), self.pots[depth])
+        lie = _keep_brackets(tab, self.bracket, cols,
+                             np.flatnonzero(alive[:, 1]), self.pairs[depth])
+        flags = np.zeros((len(cols), 2), dtype=bool)
+        flags[pres, 0] = flags[lie, 1] = True
         keep = np.flatnonzero(flags.any(axis=1))
         level = self.levels[depth]
         level["visited"] += len(cols)
@@ -341,7 +330,7 @@ class SweepResult:
 
 
 def _split_ranges(lo, hi, parts):
-    parts = max(1, min(parts, hi - lo))
+    parts = min(parts, hi - lo)
     step = (hi - lo + parts - 1) // parts
     return [(a, min(a + step, hi)) for a in range(lo, hi, step)]
 
@@ -358,14 +347,17 @@ def sweep_gl(P, F, k, want_lie=False, want_exidem=False, workers=1,
     ``levels[l]`` holds the nodes visited, pruned and passed at depth l, and
     the maps covered there: each pruned node's completions, plus one per
     leaf at the last depth. The covered counts sum to n_maps = |GL|.
-    ``workers`` is the number of first-column ranges, searched one after
-    another; the results are the same for every count. ``backend`` accepts
-    only None or "numpy"."""
+    ``workers`` >= 1 is the number of first-column ranges, searched one
+    after another; the results are the same for every count. ``backend``
+    accepts only None or "numpy"."""
     if backend not in (None, "numpy"):
         raise ValueError(f"unknown backend {backend!r}; the sweep runs on numpy")
-    tab = build_sweep_tables(P, F, k, budget=budget)
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1; got {workers}")
+    tab = build_sweep_tables(P, F, budget=budget)
+    pots = cached_potents(P, F, k, budget=budget)
     t0 = time.perf_counter()
-    search = _Search(tab, want_lie)
+    search = _Search(P, F, tab, pots, want_lie)
     ranges = _split_ranges(1, tab.space, workers)
     for lo, hi in ranges:
         search.run(lo, hi)

@@ -89,7 +89,7 @@ def _spot_indices(n, spot):
 # --- predicted families: (set of column-code tuples, notes) ---
 
 def _shift_lie_family(P, F, k, res, budget):
-    tab = build_sweep_tables(P, F, k, budget=budget)
+    tab = build_sweep_tables(P, F, budget=budget)
     everything = np.arange(tab.space)
     shifts = bijective_shifts(P, F)
     fam = set()

@@ -34,13 +34,14 @@ def space_digits(P, F):
 
 
 def batch_convolve(A, B, P, F):
-    """Row-wise convolution of two (N, dim) digit arrays."""
+    """Convolution of two digit arrays along the last axis, whose leading
+    axes broadcast: (N, dim) rows pair up row by row."""
     add_t, mul_t = F.add_np, F.mul_np
-    out = np.zeros_like(A)
+    out = np.zeros(np.broadcast_shapes(A.shape, B.shape), dtype=np.uint8)
     for a, row in enumerate(P.prod_terms):
-        fa = A[:, a]
+        fa = A[..., a]
         for b, m in row:
-            out[:, m] = add_t[out[:, m], mul_t[fa, B[:, b]]]
+            out[..., m] = add_t[out[..., m], mul_t[fa, B[..., b]]]
     return out
 
 

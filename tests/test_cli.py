@@ -88,6 +88,15 @@ def test_verify_default_workers_is_one(capsys):
     assert out["workers"] == 1
 
 
+@pytest.mark.parametrize("workers", ["0", "-4"])
+def test_verify_refuses_fewer_than_one_worker(capsys, workers):
+    code, out = run(capsys, "verify", "--poset", "chain:2", "--field", "3",
+                    "--theorem", "char-ne-2", "--workers", workers)
+    assert code == 2
+    assert out["error"] == "ValueError"
+    assert "workers must be >= 1" in out["message"]
+
+
 def test_verify_reports_levels(capsys):
     code, out = run(capsys, "verify", "--poset", "chain:2", "--field", "5",
                     "--theorem", "tripotent", "--workers", "3")
@@ -191,6 +200,18 @@ def test_spectral_inline_element(capsys):
     assert out["epsilon"] == "4"
     assert len(out["idempotents"]) == 2
     assert out["diagonal_form"] == [[1, 1, "1"], [2, 2, "4"]]
+
+
+def test_spectral_list_labels_round_trip(capsys):
+    # JSON has no tuples: a list names the poset's tuple label, and the
+    # printed triples read back as the same element
+    poset = '{"labels": [[0,1],[0,2]], "relations": [[[0,1],[0,2]]]}'
+    args = ("spectral", "--poset", poset, "--field", "5", "--k", "3")
+    code, out = run(capsys, *args,
+                    "--element", "[[[0,1],[0,1],1],[[0,1],[0,2],3]]")
+    assert code == 0
+    assert out["element"] == [[[0, 1], [0, 1], "1"], [[0, 1], [0, 2], "3"]]
+    assert run(capsys, *args, "--element", json.dumps(out["element"])) == (0, out)
 
 
 def test_spectral_non_potent_exits_one(capsys):

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from incalg import linmaps, potents
-from incalg.algebra import from_triples, is_k_potent
+from incalg.algebra import (IncElement, basis_element, convolve, from_triples,
+                            is_k_potent, lie_bracket)
 from incalg.classify import classify_preserver, regime_of
 from incalg.errors import BudgetExceeded, UnsupportedRegime
 from incalg.field import GF, QQ
@@ -194,7 +195,7 @@ def test_preservers_form_a_group_closed_under_roots(P, q, k, size):
     # preservers of a finite set form a group, and r.phi preserves k-potents
     # whenever r^(k-1) = 1
     F = GF(q)
-    tab = build_sweep_tables(P, F, k)
+    tab = build_sweep_tables(P, F)
     pres = sweep_gl(P, F, k).preservers
     assert len(pres) == size
     keys = set(_map_keys(tab, pres).tolist())
@@ -221,6 +222,31 @@ def test_level_counters_cover_gl_for_every_partition():
         assert res.n_maps == gl_order(P.dim, 5)
     assert one.levels == five.levels
     assert one.levels[0]["visited"] == 5 ** 3 - 1  # every nonzero first column
+
+
+@pytest.mark.parametrize("workers", [0, -4])
+def test_sweep_refuses_fewer_than_one_worker(workers):
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        sweep_gl(chain(2), GF(3), 2, workers=workers)
+
+
+# (visited, pruned, passed, covered) per depth. The tables feed every test the
+# search makes, so a change to them must leave these counts exactly as they are.
+@pytest.mark.parametrize("P,q,k,want_lie,levels", [
+    (chain(2), 7, 4, False,
+     [(342, 255, 87, 25189920), (29232, 29106, 126, 8557164),
+      (37044, 36792, 252, 37044)]),
+    (vee(), 2, 2, True,
+     [(31, 0, 31, 0), (930, 624, 306, 6709248), (8568, 7056, 1512, 2709504),
+      (36288, 35424, 864, 566784), (13824, 13696, 128, 13824)]),
+    # q odd: the span growth must not depend on which sign it shifts by
+    (chain(2), 3, 2, True,
+     [(26, 0, 26, 0), (624, 432, 192, 7776), (3456, 3414, 42, 3456)]),
+], ids=["chain2-gf7-k4", "vee-gf2-lie", "chain2-gf3-lie"])
+def test_search_levels_are_pinned(P, q, k, want_lie, levels):
+    res = sweep_gl(P, GF(q), k, want_lie=want_lie)
+    assert [tuple(lv[key] for key in ("visited", "pruned", "passed", "covered"))
+            for lv in res.levels] == levels
 
 
 def test_worker_partition_invariance():
@@ -373,13 +399,25 @@ def test_jordan_like_maps_need_sigma_on_k22():
 
 
 def test_tables_cache_and_contents():
-    P, F = chain(2), GF(3)
-    t1 = build_sweep_tables(P, F, 2)
-    t2 = build_sweep_tables(P, F, 2)
-    assert t1 is t2
-    assert t1.space == 27
-    # vector negation composed with itself is the identity
-    assert np.array_equal(t1.vec_neg[t1.vec_neg], np.arange(27))
+    # every entry of every table, against IncElement arithmetic
+    for P, q in [(chain(2), 3), (vee(), 2), (chain(2), 4)]:
+        F = GF(q)
+        tab = build_sweep_tables(P, F)
+        assert build_sweep_tables(P, F) is tab
+        assert tab.space == q ** P.dim
+        els = [IncElement(P, F, [int(v) for v in row]) for row in tab.dig]
+        code = {f: c for c, f in enumerate(els)}
+        assert len(code) == tab.space
+        assert tab.basis.tolist() == [code[basis_element(P, F, x, y)]
+                                      for x, y in P.comparable_pairs()]
+        bracket = kernels.bracket_table(P, F, tab)
+        for c, f in enumerate(els):
+            assert tab.square[c] == code[convolve(f, f)]
+            assert tab.vec_smul[:, c].tolist() == [code[f.scale(r)]
+                                                   for r in range(q)]
+            assert tab.vec_add[c].tolist() == [code[f + g] for g in els]
+            assert bracket[c].tolist() == [code[lie_bracket(f, g)]
+                                           for g in els]
 
 
 def test_tables_budget_checked_before_cache():
@@ -387,17 +425,17 @@ def test_tables_budget_checked_before_cache():
     # the tables were already built with a larger one
     P, F = chain(2), GF(3)
     with pytest.raises(BudgetExceeded) as ei:
-        build_sweep_tables(P, F, 2, budget=10)
+        build_sweep_tables(P, F, budget=10)
     assert ei.value.required == 27
-    build_sweep_tables(P, F, 2)
+    build_sweep_tables(P, F)
     with pytest.raises(BudgetExceeded) as ei:
-        build_sweep_tables(P, F, 2, budget=10)
+        build_sweep_tables(P, F, budget=10)
     assert ei.value.required == 27
 
 
 def test_cold_kpotent_verify_scans_potents_once(monkeypatch):
-    # the sweep tables and the spot checks' preserver predicate read one
-    # shared potent scan
+    # the sweep and the spot checks' preserver predicate read one shared
+    # potent scan
     monkeypatch.setattr(potents, "_POTENT_CACHE", {})
     monkeypatch.setattr(kernels, "_TABLES_CACHE", {})
     scan = potents.potent_code_tables
