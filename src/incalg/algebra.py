@@ -146,6 +146,13 @@ def zero(P, F):
     return IncElement(P, F, [F.zero] * P.dim)
 
 
+def basis_coeffs(P, F):
+    """Coefficient tuples of the basis elements, in basis order."""
+    one, z = F.one, F.zero
+    return [tuple(one if i == j else z for i in range(P.dim))
+            for j in range(P.dim)]
+
+
 def basis_element(P, F, x, y):
     """e_(x,y); requires x <= y."""
     coeffs = [F.zero] * P.dim
@@ -295,11 +302,14 @@ def centralizer_basis(P, F, A):
 
 def as_scalar_multiple_of_delta(f):
     """The raw r with f = r*delta, or None if f has no such form."""
-    P, F = f.poset, f.field
-    r = f.coeffs[0]
-    if any(c != r for c in f.coeffs[1:P.n]):
+    return _delta_multiple(f.poset, f.field, f.coeffs)
+
+
+def _delta_multiple(P, F, c):
+    r = c[0]
+    if any(v != r for v in c[1:P.n]):
         return None
-    if any(c != F.zero for c in f.coeffs[P.n:]):
+    if any(v != F.zero for v in c[P.n:]):
         return None
     return r
 
@@ -310,17 +320,22 @@ def is_central(f):
     Checked two ways, scalar-multiple-of-delta form and commuting with
     every basis element, which must agree on a connected poset.
     """
-    P, F = f.poset, f.field
+    return is_central_coeffs(f.poset, f.field, f.coeffs)
+
+
+def is_central_coeffs(P, F, c):
+    """``is_central`` on the raw coefficient tuple c of an element of
+    I(P, F)."""
     if not is_connected(P):
         raise DisconnectedPoset("center is only scalar on connected posets")
-    by_form = as_scalar_multiple_of_delta(f) is not None
+    by_form = _delta_multiple(P, F, c) is not None
     by_commuting = True
-    for x, y in P.comparable_pairs():
-        e = basis_element(P, F, x, y)
-        if convolve(f, e) != convolve(e, f):
+    for e in basis_coeffs(P, F):
+        if convolve_coeffs(P, F, c, e) != convolve_coeffs(P, F, e, c):
             by_commuting = False
             break
     if by_form != by_commuting:
         raise InternalConsistencyError(
-            "center characterizations disagree on a connected poset", f)
+            "center characterizations disagree on a connected poset",
+            IncElement(P, F, c))
     return by_form

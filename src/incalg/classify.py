@@ -12,8 +12,20 @@ Three pipelines, chosen by (k, field):
 - scalar_split: for k >= 3 a k-potent preserver is a (k-1)-th root of unity
   times a Jordan automorphism, which then goes through jordan_decompose.
 
+The pipelines work on raw coefficient tuples with algebra.convolve_coeffs.
+classify_preserver checks bijectivity once, by one elimination, and hands
+the map to private cores (_jordan_factor, _z2_factor, _scalar_split); the
+public functions keep all their checks when called directly.
+
 Every pipeline recomposes its factors and compares against the input map
-exactly; a mismatch raises, never returns.
+exactly; a mismatch raises, never returns. jordan_decompose recomposes per
+column, beta (sigma_k e_lam^(k)) beta^-1 = phi(e_k) on tuples for every
+basis index k; z2_decompose composes its shift after its Lie part;
+scalar_split compares r * psi with the input.
+JordanFactorization.recompose() builds each factor as a LinMap
+(conjugation_map, order_induced_map, multiplicative_map) and composes them;
+the pipelines never call it, so the tests use it as an independent oracle
+of the per-column check.
 
 regime_of is the one place that maps (field, k) to the statement that
 covers it; classify_preserver and the exhaustive verifier both ask it.
@@ -21,9 +33,8 @@ covers it; classify_preserver and the exhaustive verifier both ask it.
 
 from dataclasses import dataclass
 
-from .algebra import (IncElement, as_scalar_multiple_of_delta, basis_element,
-                      convolve, delta, diagonal_part, is_central, is_invertible,
-                      try_inverse)
+from .algebra import (IncElement, as_scalar_multiple_of_delta, convolve_coeffs,
+                      delta, is_central_coeffs, try_inverse)
 from .errors import (DisconnectedPoset, DownstreamJordanFailure,
                      HypothesesNotMet, InternalConsistencyError,
                      LambdaNotOrderMap, NoPrimitiveRoot, NotIdempotentPreserver,
@@ -32,13 +43,12 @@ from .errors import (DisconnectedPoset, DownstreamJordanFailure,
                      ThetaNotBijective, ThetaNotSingleBasisVector,
                      UnsupportedRegime)
 from .field import Scalar, primitive_root_of_unity
-from .linmaps import (LinMap, apply_map, compose, conjugation_map, format_linmap,
-                      has_idempotent_diagonal_images,
-                      is_algebra_anti_automorphism, is_algebra_automorphism,
+from .linmaps import (LinMap, _apply_vec, _has_shift_form, _is_algebra_hom,
+                      apply_map, compose, conjugation_map, format_linmap,
+                      has_idempotent_diagonal_images, identity_map,
                       is_bijective, is_jordan_homomorphism, is_k_potent_preserver,
-                      is_lie_homomorphism, is_multiplicative_coeffs, is_shift_map,
-                      linmap_from_images, multiplicative_map, order_induced_map,
-                      scale_map)
+                      is_lie_homomorphism, is_multiplicative_coeffs,
+                      multiplicative_map, order_induced_map, scale_map)
 from .poset import OrderMap, is_connected
 from .potents import DEFAULT_BUDGET, simultaneous_diagonalize
 
@@ -83,18 +93,30 @@ class ScalarSplit:
 
 def jordan_decompose(phi):
     """Factor a bijective Jordan homomorphism of a connected algebra."""
-    P, F = phi.poset, phi.field
-    if not is_connected(P):
+    if not is_connected(phi.poset):
         raise DisconnectedPoset("factorization needs a connected poset")
     if not is_bijective(phi):
         raise NotJordanAutomorphism("map is not bijective")
+    return _jordan_factor(phi)
+
+
+def _conjugate_coeffs(P, F, b, f, binv):
+    """Coefficient tuple of b f binv."""
+    return convolve_coeffs(P, F, convolve_coeffs(P, F, b, f), binv)
+
+
+def _jordan_factor(phi):
+    """jordan_decompose for a map known to be bijective, on a connected
+    poset; works column by column on coefficient tuples."""
+    P, F = phi.poset, phi.field
     if not is_jordan_homomorphism(phi):
         raise NotJordanAutomorphism("map is not a Jordan homomorphism")
 
     one, z = F.one, F.zero
+    cols = phi.cols
     lam = [None] * P.n
     for i in range(P.n):
-        dvals = phi.image(i).diag_values()
+        dvals = cols[i][:P.n]
         hits = [j for j, v in enumerate(dvals) if v != z]
         if len(hits) != 1 or dvals[hits[0]] != one:
             raise LambdaNotOrderMap(
@@ -118,45 +140,63 @@ def jordan_decompose(phi):
         order_map = OrderMap(P, lam, kind)
     except ValueError as e:
         raise LambdaNotOrderMap(str(e), detail=lam) from e
+    # lam_hat[k]: the basis index of the image of e_k under the induced
+    # map, e_(x,y) -> e_(lam x, lam y), the pair flipped for the anti kind
+    lam_hat = [P.pair_pos[(lam[j], lam[i]) if kind == OrderMap.ANTI
+                          else (lam[i], lam[j])] for i, j in P.pairs]
 
     # potents.simultaneous_diagonalize specialized to orthogonal idempotents
-    # with diagonals e_lam(i): at the point lam(i) its product over j is
-    # phi(e_i) alone, so beta = sum_i phi(e_i) e_lam(i) costs n convolutions
-    # against the general formula's n^2
-    beta = None
-    for i in range(P.n):
-        term = convolve(phi.image(i),
-                        basis_element(P, F, P.labels[lam[i]], P.labels[lam[i]]))
-        beta = term if beta is None else beta + term
-    if not is_invertible(beta):
+    # with diagonals e_lam(i): beta = sum_i phi(e_i) e_lam(i). Multiplying by
+    # e_y on the right keeps the pairs (x, y) and clears the rest, so beta
+    # at (x, y) is phi(e_i) at (x, y) for the i with lam(i) = y
+    lam_inv = [0] * P.n
+    for i, y in enumerate(lam):
+        lam_inv[y] = i
+    b = tuple(cols[lam_inv[y]][m] for m, (_, y) in enumerate(P.pairs))
+    beta = IncElement(P, F, b)
+    if any(v == z for v in b[:P.n]):
         raise InternalConsistencyError("inner part not invertible", beta)
+    binv = try_inverse(beta).coeffs
 
-    psi1 = compose(conjugation_map(try_inverse(beta)), phi)
-    for i in range(P.n):
-        if psi1.image(i) != basis_element(P, F, P.labels[lam[i]], P.labels[lam[i]]):
-            raise InternalConsistencyError(
-                "conjugation does not normalize the idempotent images", phi.image(i))
-
-    lam_hat_inv = order_induced_map(order_map.inverse(), F)
-    psi2 = compose(lam_hat_inv, psi1)
+    # psi1 = conj(beta)^-1 o phi must send e_i to e_lam(i), and each strict
+    # e_k to sigma_k e_lam_hat(k) with sigma_k nonzero
     sigma_vals = [one] * P.n + [z] * P.n_strict
-    for k in range(P.n, P.dim):
-        img = psi2.image(k)
-        val = img.coeffs[k]
-        stripped = [z] * P.dim
-        stripped[k] = val
-        if val == z or img != IncElement(P, F, stripped):
+    for k in range(P.dim):
+        g = _conjugate_coeffs(P, F, binv, cols[k], b)
+        m = lam_hat[k]
+        val = g[m]
+        scaled = [z] * P.dim
+        scaled[m] = val
+        if k < P.n:
+            if val != one or g != tuple(scaled):
+                raise InternalConsistencyError(
+                    "conjugation does not normalize the idempotent images",
+                    phi.image(k))
+        elif val == z or g != tuple(scaled):
             raise RecompositionMismatch(
-                "residual map does not rescale the strict basis", img)
-        sigma_vals[k] = val
+                "residual map does not rescale the strict basis",
+                IncElement(P, F, [g[t] for t in lam_hat]))
+        else:
+            sigma_vals[k] = val
     sigma = IncElement(P, F, sigma_vals)
     if not is_multiplicative_coeffs(sigma):
         raise RecompositionMismatch("residual rescaling is not multiplicative", sigma)
 
     fact = JordanFactorization(beta, order_map, sigma)
-    if fact.recompose() != phi:
+    if _recomposed_columns(P, F, b, binv, lam_hat, sigma_vals) != cols:
         raise RecompositionMismatch("factors do not recompose to the input", fact)
     return fact
+
+
+def _recomposed_columns(P, F, b, binv, lam_hat, sigma_vals):
+    """Columns of conj(beta) o lam^ o M_sigma: column k is
+    beta (sigma_k e_lam_hat(k)) beta^-1."""
+    out = []
+    for k, m in enumerate(lam_hat):
+        e = [F.zero] * P.dim
+        e[m] = sigma_vals[k]
+        out.append(_conjugate_coeffs(P, F, b, tuple(e), binv))
+    return tuple(out)
 
 
 def _require_idempotent_preserver(phi, mode, budget):
@@ -177,61 +217,77 @@ def z2_decompose(phi, budget=DEFAULT_BUDGET):
         raise DisconnectedPoset("factorization needs a connected poset")
     if not is_bijective(phi):
         raise HypothesesNotMet("factorization covers bijective maps only")
+    return _z2_factor(phi, budget)
+
+
+def _z2_factor(phi, budget):
+    """z2_decompose for a map known to be bijective, over GF(2) on a
+    connected poset; works on coefficient tuples."""
+    P, F = phi.poset, phi.field
     _require_idempotent_preserver(phi, "exhaustive", budget)
 
-    alphas = [phi.image(i) for i in range(P.n)]
-    beta = simultaneous_diagonalize(alphas)
-    eta_inv = conjugation_map(try_inverse(beta))
-    psi1 = compose(eta_inv, phi)
+    z = F.zero
+    beta = simultaneous_diagonalize([phi.image(i) for i in range(P.n)])
+    b, binv = beta.coeffs, try_inverse(beta).coeffs
+    # psi1 = eta^-1 o phi, with eta the conjugation by beta
+    psi1 = [_conjugate_coeffs(P, F, binv, col, b) for col in phi.cols]
     for i in range(P.n):
-        if not psi1.image(i).is_diagonal():
+        if any(v != z for v in psi1[i][P.n:]):
             raise InternalConsistencyError(
                 "conjugation failed to diagonalize an idempotent image",
-                psi1.image(i))
+                IncElement(P, F, psi1[i]))
 
     theta = {}
     nu = {}
     for k in range(P.n, P.dim):
-        g = psi1.image(k)
-        strict_support = [m for m in range(P.n, P.dim) if g.coeffs[m] != F.zero]
+        g = psi1[k]
+        strict_support = [m for m in range(P.n, P.dim) if g[m] != z]
         if len(strict_support) != 1:
             raise ThetaNotSingleBasisVector(
                 "strict part of a strict-basis image is not a single basis vector",
-                detail=g)
+                detail=IncElement(P, F, g))
         theta[k] = strict_support[0]
-        d = diagonal_part(g)
-        if not is_central(d):
-            raise NuNotCentral("diagonal correction is not central", detail=g)
+        d = g[:P.n] + (z,) * P.n_strict
+        if not is_central_coeffs(P, F, d):
+            raise NuNotCentral("diagonal correction is not central",
+                               detail=IncElement(P, F, g))
         nu[k] = d
     if sorted(theta.values()) != list(range(P.n, P.dim)):
         raise ThetaNotBijective("strict basis images collide", detail=theta)
 
     # tau fixes the diagonal and adds back the central correction on each
-    # theta image; over GF(2) it is an involution
-    tau_images = [basis_element(P, F, P.labels[i], P.labels[i]) for i in range(P.n)]
-    tau_images += [None] * P.n_strict
-    pairs = P.comparable_pairs()
+    # theta image (nu is zero off the diagonal, so e_m + nu is nu with a one
+    # at m); over GF(2) it is an involution
+    ident = identity_map(P, F)
+    tau_cols = list(ident.cols)
     for k in range(P.n, P.dim):
-        m = theta[k]
-        x, y = pairs[m]
-        tau_images[m] = basis_element(P, F, x, y) + nu[k]
-    tau = linmap_from_images(P, F, tau_images)
+        col = list(nu[k])
+        col[theta[k]] = F.one
+        tau_cols[theta[k]] = tuple(col)
+    tau = LinMap(P, F, tau_cols)
 
-    psi = compose(tau, psi1)
-    if not (is_bijective(psi) and is_lie_homomorphism(psi)):
+    # psi = tau o eta^-1 o phi is bijective when tau is: phi is, and eta^-1
+    # has the inverse eta. tau o tau = id proves tau bijective, and with it
+    # the bijectivity of the commuted shift and of the outer Lie part below
+    psi = LinMap(P, F, [_apply_vec(tau, col) for col in psi1])
+    if not (compose(tau, tau) == ident and is_lie_homomorphism(psi)):
         raise InternalConsistencyError("normalized part is not a Lie automorphism",
                                        format_linmap(psi))
 
     # commute the inner conjugation past tau: tau - id maps into F delta,
     # which eta fixes, so eta tau eta^-1 (f) = f + (tau - id)(eta^-1 f)
-    eta = conjugation_map(beta)
-    shift = compose(eta, compose(tau, eta_inv))
-    lie_part = compose(eta, psi)
+    shift = LinMap(P, F, [
+        _conjugate_coeffs(P, F, b,
+                          _apply_vec(tau, _conjugate_coeffs(P, F, binv, e, b)),
+                          binv)
+        for e in ident.cols])
+    lie_part = LinMap(P, F, [_conjugate_coeffs(P, F, b, col, binv)
+                             for col in psi.cols])
 
-    if not is_shift_map(shift):
+    if not _has_shift_form(shift):
         raise InternalConsistencyError("commuted shift lost its shift form",
                                        format_linmap(shift))
-    if not (is_bijective(lie_part) and is_lie_homomorphism(lie_part)):
+    if not is_lie_homomorphism(lie_part):
         raise InternalConsistencyError("outer Lie part is not a Lie automorphism",
                                        format_linmap(lie_part))
     fact = Z2Factorization(shift, lie_part, beta)
@@ -243,11 +299,18 @@ def z2_decompose(phi, budget=DEFAULT_BUDGET):
 
 def scalar_split(phi, k, mode="exhaustive", budget=DEFAULT_BUDGET):
     """Split a k-potent preserver (k >= 3) as r * (auto or anti-auto)."""
-    P, F = phi.poset, phi.field
     if k < 3:
         raise ValueError("scalar_split applies to k >= 3")
-    if not is_connected(P):
+    if not is_connected(phi.poset):
         raise DisconnectedPoset("factorization needs a connected poset")
+    return _scalar_split(phi, k, mode, budget, jordan_decompose)
+
+
+def _scalar_split(phi, k, mode, budget, decompose):
+    """scalar_split past its guards. decompose factors the normalized map:
+    jordan_decompose, or _jordan_factor when phi is known to be bijective
+    (then so is the normalized map, a nonzero multiple of phi)."""
+    P, F = phi.poset, phi.field
     check = is_k_potent_preserver(phi, k, mode=mode, budget=budget)
     if not check:
         raise HypothesesNotMet(
@@ -266,15 +329,15 @@ def scalar_split(phi, k, mode="exhaustive", budget=DEFAULT_BUDGET):
     if apply_map(psi, delta(P, F)) != delta(P, F):
         raise InternalConsistencyError("normalized map does not fix delta", psi)
     try:
-        fact = jordan_decompose(psi)
+        fact = decompose(psi)
     except NotJordanAutomorphism as e:
         raise DownstreamJordanFailure(
             f"normalized map is not a Jordan automorphism: {e}") from e
 
+    # psi is bijective (decompose checked it, or phi is), so the direct
+    # predicate needs no second elimination
     kind = fact.order_map.kind
-    direct = is_algebra_automorphism(psi) if kind == OrderMap.AUTO \
-        else is_algebra_anti_automorphism(psi)
-    if not direct:
+    if not _is_algebra_hom(psi, anti=kind == OrderMap.ANTI):
         raise InternalConsistencyError(
             "factor kind disagrees with the direct predicate", kind)
     if scale_map(psi, r) != phi:
@@ -329,7 +392,7 @@ def _jordan_factors(fact):
 # --- one certify function per regime: (certificates, factors, notes) ---
 
 def _certify_z2(phi, k, mode, budget):
-    fact = z2_decompose(phi, budget=budget)
+    fact = _z2_factor(phi, budget)
     return ({"bijective": True, "idempotent_preserver": mode,
              "shift_is_shift_map": True, "lie_part_is_lie_automorphism": True},
             {"shift": _linmap_jsonable(fact.shift),
@@ -355,14 +418,14 @@ def _certify_char_2_big(phi, k, mode, budget):
 
 def _certify_char_ne_2(phi, k, mode, budget):
     _require_idempotent_preserver(phi, mode, budget)
-    fact = jordan_decompose(phi)
+    fact = _jordan_factor(phi)
     return ({"bijective": True, "idempotent_preserver": mode,
              "jordan_homomorphism": True, "kind": fact.order_map.kind},
             _jordan_factors(fact), [])
 
 
 def _certify_scalar_split(phi, k, mode, budget):
-    split = scalar_split(phi, k, mode=mode, budget=budget)
+    split = _scalar_split(phi, k, mode, budget, _jordan_factor)
     r = phi.field.format(split.r.value)
     return ({"bijective": True, "potent_preserver": mode, "r": r,
              "r_power_check": f"r^{k - 1} = 1", "psi_kind": split.psi_kind},

@@ -5,16 +5,16 @@ column j is the image of the j-th basis element. The homomorphism predicates
 reduce their defining identities to basis tuples: bilinear identities are
 checked on basis pairs, and the quadratic-in-one-slot identities (squares,
 triple products) on basis elements plus their polarized forms, which is
-equivalent to the identity holding everywhere.
+equivalent to the identity holding everywhere. Both sides of each identity
+are evaluated on raw coefficient tuples with ``algebra.convolve_coeffs``.
 """
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 
 from . import potents as _potents
-from .algebra import (IncElement, as_scalar_multiple_of_delta, basis_element,
-                      convolve, delta, jordan_product, lie_bracket,
-                      power_coeffs, try_inverse)
+from .algebra import (IncElement, basis_coeffs, basis_element, convolve,
+                      convolve_coeffs, delta, power_coeffs, try_inverse)
 from .errors import (DimensionMismatch, DisconnectedPoset, Singular,
                      StructureMismatch)
 from .field import roots_of_unity
@@ -85,9 +85,7 @@ def linmap_from_pair_images(P, F, mapping):
 
 
 def identity_map(P, F):
-    one, z = F.one, F.zero
-    return LinMap(P, F, [[one if i == j else z for i in range(P.dim)]
-                         for j in range(P.dim)])
+    return LinMap(P, F, basis_coeffs(P, F))
 
 
 def _apply_vec(phi, coeffs):
@@ -134,23 +132,38 @@ def scale_map(phi, r):
 
 
 def _rref(rows, F):
-    """Reduced row echelon form; returns (rows, pivot columns). Exact."""
+    """Reduced row echelon form; returns (rows, pivot columns). Exact:
+    finite codes go through the field's add/mul/neg/inv tables, rationals
+    through the field's operations."""
     rows = [list(r) for r in rows]
     z = F.zero
     pivots = []
     r = 0
     width = len(rows[0]) if rows else 0
+    finite = F.is_finite()
+    if finite:
+        addt, mult, negt, invt = F._addt, F._mult, F._negt, F._invt
     for c in range(width):
         pr = next((i for i in range(r, len(rows)) if rows[i][c] != z), None)
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        inv = F.inv(rows[r][c])
-        rows[r] = [F.mul(inv, v) for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != z:
+        if finite:
+            inv = mult[invt[rows[r][c]]]
+            piv = rows[r] = [inv[v] for v in rows[r]]
+            for i in range(len(rows)):
                 f = rows[i][c]
-                rows[i] = [F.sub(a, F.mul(f, b)) for a, b in zip(rows[i], rows[r])]
+                if i != r and f:
+                    nf = mult[negt[f]]
+                    rows[i] = [addt[a][nf[b]] for a, b in zip(rows[i], piv)]
+        else:
+            inv = F.inv(rows[r][c])
+            rows[r] = [F.mul(inv, v) for v in rows[r]]
+            for i in range(len(rows)):
+                if i != r and rows[i][c] != z:
+                    f = rows[i][c]
+                    rows[i] = [F.sub(a, F.mul(f, b))
+                               for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -193,11 +206,10 @@ def try_invert(phi):
 
 
 def is_bijective(phi):
-    try:
-        try_invert(phi)
-        return True
-    except Singular:
-        return False
+    """Whether phi has full rank: one elimination of its matrix."""
+    d = phi.poset.dim
+    _, pivots = _rref(phi.matrix, phi.field)
+    return len(pivots) == d
 
 
 class Subspace:
@@ -427,44 +439,82 @@ def is_k_potent_preserver(phi, k, mode="exhaustive", budget=None):
     return PreserverCheck(True, None, mode, checked)
 
 
+# law(e_i, ...) per (law, poset, field) and tuple of basis indices: it does
+# not depend on the map, and every map checked on the algebra reuses it
+_LAW_ON_BASIS = {}
+
+
 def _keeps(phi, law, tuples, image_law=None):
     """Whether phi(law(e_i, ...)) = image_law(phi(e_i), ...) for every tuple
     of basis indices, stopping at the first failure; image_law defaults to
-    law."""
+    law. Laws act on coefficient tuples: law(P, F, a, ...)."""
     image_law = image_law or law
     P, F = phi.poset, phi.field
-    es = [basis_element(P, F, P.labels[i], P.labels[j]) for i, j in P.pairs]
-    ims = [phi.image(j) for j in range(P.dim)]
-    return all(apply_map(phi, law(*(es[i] for i in t)))
-               == image_law(*(ims[i] for i in t)) for t in tuples)
+    on_basis = _LAW_ON_BASIS.setdefault((law, P, F), {})
+    es = None
+    cols = phi.cols
+    for t in tuples:
+        lhs = on_basis.get(t)
+        if lhs is None:
+            es = es or basis_coeffs(P, F)
+            lhs = on_basis[t] = law(P, F, *(es[i] for i in t))
+        if _apply_vec(phi, lhs) != image_law(P, F, *(cols[i] for i in t)):
+            return False
+    return True
 
 
-def _square(a):
-    return convolve(a, a)
+# --- laws on coefficient tuples, exact; the finite lane on the field's
+# add/neg tables, as convolve_coeffs does ---
+
+def _add(F, a, b):
+    if F.is_finite():
+        addt = F._addt
+        return tuple([addt[x][y] for x, y in zip(a, b)])
+    return tuple([x + y for x, y in zip(a, b)])
 
 
-def _aba(a, b):
-    return convolve(convolve(a, b), a)
+def _sub(F, a, b):
+    if F.is_finite():
+        addt, negt = F._addt, F._negt
+        return tuple([addt[x][negt[y]] for x, y in zip(a, b)])
+    return tuple([x - y for x, y in zip(a, b)])
 
 
-def _abc_cba(a, b, c):
-    return convolve(convolve(a, b), c) + convolve(convolve(c, b), a)
+def _reversed_product(P, F, a, b):
+    return convolve_coeffs(P, F, b, a)
 
 
-def _reversed_product(a, b):
-    return convolve(b, a)
+def _jordan(P, F, a, b):
+    return _add(F, convolve_coeffs(P, F, a, b), convolve_coeffs(P, F, b, a))
+
+
+def _bracket(P, F, a, b):
+    return _sub(F, convolve_coeffs(P, F, a, b), convolve_coeffs(P, F, b, a))
+
+
+def _square(P, F, a):
+    return convolve_coeffs(P, F, a, a)
+
+
+def _aba(P, F, a, b):
+    return convolve_coeffs(P, F, convolve_coeffs(P, F, a, b), a)
+
+
+def _abc_cba(P, F, a, b, c):
+    return _add(F, convolve_coeffs(P, F, convolve_coeffs(P, F, a, b), c),
+                convolve_coeffs(P, F, convolve_coeffs(P, F, c, b), a))
 
 
 def preserves_jordan_products(phi):
     """phi(a o b) = phi(a) o phi(b) for a o b = ab + ba, on basis pairs
     (bilinear, hence everywhere)."""
-    return _keeps(phi, jordan_product,
+    return _keeps(phi, _jordan,
                   combinations_with_replacement(range(phi.poset.dim), 2))
 
 
 def is_lie_homomorphism(phi):
     """phi[a,b] = [phi a, phi b] on basis pairs (bilinear, hence everywhere)."""
-    return _keeps(phi, lie_bracket, combinations(range(phi.poset.dim), 2))
+    return _keeps(phi, _bracket, combinations(range(phi.poset.dim), 2))
 
 
 def is_jordan_homomorphism(phi):
@@ -497,13 +547,16 @@ def has_idempotent_diagonal_images(phi):
 def _is_algebra_iso(phi, anti):
     """Bijective, fixes delta and sends e_a e_b to phi(e_a) phi(e_b), or to
     phi(e_b) phi(e_a) when anti."""
-    if not is_bijective(phi):
-        return False
+    return is_bijective(phi) and _is_algebra_hom(phi, anti)
+
+
+def _is_algebra_hom(phi, anti):
+    """_is_algebra_iso less the bijectivity, for maps known bijective."""
     P, F = phi.poset, phi.field
     if apply_map(phi, delta(P, F)) != delta(P, F):
         return False
-    return _keeps(phi, convolve, product(range(P.dim), repeat=2),
-                  _reversed_product if anti else convolve)
+    return _keeps(phi, convolve_coeffs, product(range(P.dim), repeat=2),
+                  _reversed_product if anti else convolve_coeffs)
 
 
 def is_algebra_automorphism(phi):
@@ -521,14 +574,21 @@ def is_shift_map(phi):
     Only meaningful where the center is spanned by delta, so the poset must
     be connected.
     """
-    P, F = phi.poset, phi.field
-    if not is_connected(P):
+    if not is_connected(phi.poset):
         raise DisconnectedPoset("shift maps are defined against a scalar center")
-    for j in range(P.dim):
-        diff = phi.image(j) - basis_element(P, F, *P.comparable_pairs()[j])
-        if as_scalar_multiple_of_delta(diff) is None:
+    return _has_shift_form(phi) and is_bijective(phi)
+
+
+def _has_shift_form(phi):
+    """Whether every phi(e_j) - e_j is a scalar multiple of delta."""
+    P, F = phi.poset, phi.field
+    z = F.zero
+    for col, e in zip(phi.cols, basis_coeffs(P, F)):
+        diff = _sub(F, col, e)
+        if (any(c != diff[0] for c in diff[1:P.n])
+                or any(c != z for c in diff[P.n:])):
             return False
-    return is_bijective(phi)
+    return True
 
 
 # --- file format ---

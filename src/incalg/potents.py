@@ -12,8 +12,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import (IncElement, basis_element, convolve, delta,
-                      diagonal_part, is_k_potent, conjugate)
+from .algebra import (IncElement, basis_element, conjugate, convolve,
+                      convolve_coeffs, delta, diagonal_part, is_k_potent,
+                      try_inverse)
 from .errors import (BudgetExceeded, HypothesesNotMet, InternalConsistencyError,
                      NoPrimitiveRoot, NotConjugate, NotIdempotent, NotCommuting,
                      NotKPotent, StructureMismatch, UnsupportedField)
@@ -214,8 +215,10 @@ def simultaneous_diagonalize(alphas):
         beta = term if beta is None else beta + term
     if diagonal_part(beta) != d:
         raise InternalConsistencyError("diagonalizer has non-identity diagonal", beta)
+    binv = try_inverse(beta).coeffs
     for a, e in zip(alphas, eps):
-        if conjugate(e, beta) != a:
+        be = convolve_coeffs(P, F, beta.coeffs, e.coeffs)
+        if convolve_coeffs(P, F, be, binv) != a.coeffs:
             raise InternalConsistencyError("diagonalizer fails to conjugate", a)
     return beta
 

@@ -1,22 +1,39 @@
 """Factorization pipelines: exact recovery and honest refusals."""
 
+import hashlib
+import json
+
 import pytest
 
-from incalg.algebra import basis_element, delta, from_triples
+import incalg.classify as classify
+import incalg.linmaps as linmaps
+from incalg.algebra import basis_element, delta, from_triples, try_inverse
 from incalg.classify import (classify_preserver, jordan_decompose,
                              scalar_split, z2_decompose)
 from incalg.errors import (DisconnectedPoset, HypothesesNotMet,
                            NotIdempotentPreserver, NotJordanAutomorphism,
-                             UnsupportedRegime)
+                           RecompositionMismatch, UnsupportedRegime)
 from incalg.field import GF, QQ
+from incalg.harness.families import jordan_like_maps
 from incalg.harness.gl import enumerate_gl
 from incalg.harness.kernels import linmap_from_codes, sweep_gl
-from incalg.linmaps import (compose, conjugation_map, identity_map,
-                            is_k_potent_preserver, linmap_from_images,
-                            linmap_from_pair_images, multiplicative_map,
-                            order_induced_map, scale_map,
+from incalg.linmaps import (LinMap, compose, conjugation_map, identity_map,
+                            is_jordan_homomorphism, is_k_potent_preserver,
+                            linmap_from_images, linmap_from_pair_images,
+                            multiplicative_map, order_induced_map, scale_map,
                             shift_from_functional)
-from incalg.poset import antichain, chain, enumerate_order_maps
+from incalg.poset import (antichain, chain, enumerate_order_maps,
+                          poset_from_relations)
+
+
+def vee():
+    return poset_from_relations([1, 2, 3], [(1, 2), (1, 3)])
+
+
+def swept_preservers(P, F, k):
+    res = sweep_gl(P, F, k)
+    return [linmap_from_codes(P, F, tuple(int(v) for v in row))
+            for row in res.preservers]
 
 
 def jordan_map(P, F, beta_triples, kind, sigma_triples):
@@ -216,3 +233,119 @@ def test_classify_non_preserver_raises():
     })
     with pytest.raises(NotIdempotentPreserver):
         classify_preserver(phi, 2)
+
+
+def _digest(reports):
+    return hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
+
+
+# sha256 of the sorted-key JSON list of classify_preserver(phi, k).to_jsonable()
+# over each set, as the element-level pipelines (conjugation_map,
+# order_induced_map, multiplicative_map, LinMap compositions) produced them
+PINNED_REPORTS = {
+    "vee-gf5-k2": "98df5c163271064124d391a6afe40d1016bfe3a2a0b747bbaf9e7769e1d9536b",
+    "chain2-gf7-k4": "a6185d113d5aaaffc41703c404c6a08e4d6e82a432aa96e16592ed1731caeb8e",
+    "vee-gf2-z2": "f102c2b128d06808029f1dd7746cde26e2fd65fefd2c3aa2555e39ada533a886",
+}
+
+
+def test_reports_match_the_pinned_digests_and_factors_recompose():
+    # the public recompose() composes LinMaps built from the factors, an
+    # oracle independent of the per-column check inside the pipelines
+    P, F = vee(), GF(5)
+    maps = list(jordan_like_maps(P, F).values())
+    assert len(maps) == 800
+    assert (_digest([classify_preserver(phi, 2).to_jsonable() for phi in maps])
+            == PINNED_REPORTS["vee-gf5-k2"])
+    assert all(jordan_decompose(phi).recompose() == phi for phi in maps)
+
+    P, F = chain(2), GF(7)
+    maps = swept_preservers(P, F, 4)
+    assert len(maps) == 252
+    assert (_digest([classify_preserver(phi, 4).to_jsonable() for phi in maps])
+            == PINNED_REPORTS["chain2-gf7-k4"])
+    for phi in maps:
+        split = scalar_split(phi, 4)
+        assert split.factorization.recompose() == split.psi
+        assert scale_map(split.psi, split.r.value) == phi
+
+    P, F = vee(), GF(2)
+    maps = swept_preservers(P, F, 2)
+    assert len(maps) == 128
+    assert (_digest([classify_preserver(phi, 2).to_jsonable() for phi in maps])
+            == PINNED_REPORTS["vee-gf2-z2"])
+    assert all(z2_decompose(phi).recompose() == phi for phi in maps)
+
+
+def test_classify_runs_one_elimination_per_map(monkeypatch):
+    calls = []
+    rref = linmaps._rref
+
+    def counting(rows, F):
+        calls.append(1)
+        return rref(rows, F)
+
+    monkeypatch.setattr(linmaps, "_rref", counting)
+    V = vee()
+    cases = [(swept_preservers(V, GF(2), 2)[5], 2, "z2"),
+             (list(jordan_like_maps(V, GF(5)).values())[77], 2, "char-ne-2"),
+             (swept_preservers(chain(2), GF(4), 2)[3], 2, "char-2-big"),
+             (scale_map(list(jordan_like_maps(V, GF(5)).values())[123], 4), 3,
+              "tripotent"),
+             (swept_preservers(chain(2), GF(7), 4)[100], 4, "kpotent"),
+             (conjugation_map(from_triples(chain(2), QQ(),
+                                           [(1, 1, 1), (2, 2, 3), (1, 2, 1)])),
+              2, "char-ne-2")]
+    for phi, k, regime in cases:
+        calls.clear()
+        assert classify_preserver(phi, k).regime == regime
+        assert len(calls) == 1, regime
+
+
+def test_per_column_recomposition_guards_the_jordan_factors(monkeypatch):
+    # the columns conj(beta) o lam^ o M_sigma are those of the public
+    # recompose(), also for factors that do not come from a factorization
+    P, F = vee(), GF(5)
+    om = enumerate_order_maps(P, "automorphism")[1]
+    lam = om.perm
+    lam_hat = [P.pair_pos[(lam[i], lam[j])] for i, j in P.pairs]
+    beta = from_triples(P, F, [(1, 1, 2), (2, 2, 3), (3, 3, 1), (1, 2, 4),
+                               (1, 3, 1)])
+    sigma = from_triples(P, F, [(1, 1, 1), (2, 2, 1), (3, 3, 1), (1, 2, 3),
+                                (1, 3, 2)])
+    fact = classify.JordanFactorization(beta, om, sigma)
+    assert (classify._recomposed_columns(P, F, beta.coeffs,
+                                         try_inverse(beta).coeffs, lam_hat,
+                                         list(sigma.coeffs))
+            == fact.recompose().cols)
+
+    # and a recomposition that comes out wrong is refused
+    phi = fact.recompose()
+    assert jordan_decompose(phi).recompose() == phi
+    real = classify._recomposed_columns
+
+    def off_by_one_column(*args):
+        cols = list(real(*args))
+        cols[-1] = cols[0]
+        return tuple(cols)
+
+    monkeypatch.setattr(classify, "_recomposed_columns", off_by_one_column)
+    with pytest.raises(RecompositionMismatch):
+        jordan_decompose(phi)
+    with pytest.raises(RecompositionMismatch):
+        classify_preserver(phi, 2)
+
+
+def test_non_multiplicative_rescaling_is_refused(monkeypatch):
+    # a rescaling of the 3-chain with sigma13 != sigma12 sigma23 is no Jordan
+    # map; with that check waved through, the multiplicative check must
+    # still refuse it (the factors themselves do recompose to the input)
+    P, F = chain(3), GF(5)
+    cols = [list(c) for c in identity_map(P, F).cols]
+    k = P.pair_index(1, 3)
+    cols[k][k] = 2
+    phi = LinMap(P, F, cols)
+    assert not is_jordan_homomorphism(phi)
+    monkeypatch.setattr(classify, "is_jordan_homomorphism", lambda phi: True)
+    with pytest.raises(RecompositionMismatch, match="not multiplicative"):
+        jordan_decompose(phi)

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -24,6 +25,8 @@ from incalg.linmaps import (LinMap, Subspace, apply_map, compose,
                             preserves_jordan_products, scale_map,
                             shift_from_functional, subspace_intersection,
                             try_invert)
+from incalg.linmaps import (_aba, _abc_cba, _bracket, _jordan,
+                            _reversed_product, _square)
 from incalg.poset import chain, enumerate_order_maps, poset_from_relations
 
 
@@ -164,6 +167,88 @@ def test_scale_map_and_potency_interaction():
     assert not is_k_potent_preserver(scale_map(ident, 3), 4)
 
 
+def _is_onto(phi):
+    """Whether phi hits every element: by enumeration, no elimination."""
+    P, F = phi.poset, phi.field
+    return len({apply_map(phi, IncElement(P, F, c)).coeffs
+                for c in itertools.product(range(F.q), repeat=P.dim)}) == F.q ** P.dim
+
+
+def _inverts_both_sides(phi):
+    inv = try_invert(phi)
+    ident = identity_map(phi.poset, phi.field)
+    return compose(phi, inv) == ident and compose(inv, phi) == ident
+
+
+def test_elimination_on_whole_spaces_and_samples():
+    P, F = chain(2), GF(2)
+    maps = [_map_from_index(P, F, m) for m in range(F.q ** (P.dim ** 2))]
+    flags = [is_bijective(phi) for phi in maps]
+    assert sum(flags) == 168  # |GL(3, 2)|
+    assert flags == [_is_onto(phi) for phi in maps]
+    for phi, bij in zip(maps, flags):
+        if bij:
+            assert _inverts_both_sides(phi)
+        else:
+            with pytest.raises(Singular):
+                try_invert(phi)
+
+    for F, seed in ((GF(4), 1), (GF(9), 2)):
+        maps = _random_maps(P, F, 60, seed)
+        # and maps whose last column repeats a combination of two others
+        for phi in _random_maps(P, F, 10, seed + 10):
+            cols = list(phi.cols)
+            cols[2] = tuple(F.add(F.mul(3 % F.q, a), b)
+                            for a, b in zip(cols[0], cols[1]))
+            maps.append(LinMap(P, F, cols))
+        flags = [is_bijective(phi) for phi in maps]
+        assert flags == [_is_onto(phi) for phi in maps]
+        assert 0 < sum(flags) < len(maps)
+        for phi, bij in zip(maps, flags):
+            if bij:
+                assert _inverts_both_sides(phi)
+            else:
+                with pytest.raises(Singular):
+                    try_invert(phi)
+
+    P, F = poset_from_relations([1, 2, 3], [(1, 2), (1, 3)]), QQ()
+    rng = random.Random(3)
+    for _ in range(40):
+        cols = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                 for _ in range(P.dim)] for _ in range(P.dim)]
+        phi = LinMap(P, F, cols)
+        if is_bijective(phi):
+            assert _inverts_both_sides(phi)
+        cols[4] = [a - 2 * b for a, b in zip(cols[0], cols[3])]
+        singular = LinMap(P, F, cols)
+        assert not is_bijective(singular)
+        with pytest.raises(Singular):
+            try_invert(singular)
+
+
+def test_tuple_laws_equal_the_element_laws():
+    # the law checks apply one law to both sides, so a law that is wrong the
+    # same way on both sides would go unseen there; check each against
+    # algebra's element-level products on every pair (triple: a sample)
+    for P, F in ((chain(2), GF(3)),
+                 (poset_from_relations([1, 2, 3], [(1, 2), (1, 3)]), GF(2))):
+        elems = [IncElement(P, F, c)
+                 for c in itertools.product(range(F.q), repeat=P.dim)]
+        for f, g in itertools.product(elems, repeat=2):
+            a, b = f.coeffs, g.coeffs
+            assert _bracket(P, F, a, b) == lie_bracket(f, g).coeffs
+            assert _jordan(P, F, a, b) == jordan_product(f, g).coeffs
+            assert _reversed_product(P, F, a, b) == convolve(g, f).coeffs
+            assert _aba(P, F, a, b) == convolve(convolve(f, g), f).coeffs
+        for f in elems:
+            assert _square(P, F, f.coeffs) == convolve(f, f).coeffs
+        rng = random.Random(4)
+        for f, g, h in (rng.sample(elems, 3) for _ in range(300)):
+            assert (_abc_cba(P, F, f.coeffs, g.coeffs, h.coeffs)
+                    == (convolve(convolve(f, g), h)
+                        + convolve(convolve(h, g), f)).coeffs)
+
+
 def test_try_invert_and_singular():
     P, F = chain(2), GF(3)
     sigma = from_triples(P, F, [(1, 1, 1), (2, 2, 1), (1, 2, 2)])
@@ -248,10 +333,12 @@ def _fgf(f, g):
     return convolve(convolve(f, g), f)
 
 
-def _law_tables(P, F):
-    """Every algebra element, and each law evaluated on every pair of them."""
-    elems = [IncElement(P, F, c)
-             for c in itertools.product(range(F.q), repeat=P.dim)]
+def _law_tables(P, F, elems=None):
+    """Every algebra element (or the given ones), and each law evaluated on
+    every pair of them."""
+    if elems is None:
+        elems = [IncElement(P, F, c)
+                 for c in itertools.product(range(F.q), repeat=P.dim)]
     pairs = list(itertools.product(range(len(elems)), repeat=2))
     tables = {law: [law(elems[i], elems[j]) for i, j in pairs]
               for law in (jordan_product, lie_bracket, convolve, _fgf)}
@@ -314,6 +401,33 @@ def test_predicates_equal_their_laws_on_every_element_pair():
     got = [tuple(p(phi) for p in PREDICATES) for phi in maps]
     assert got == [_by_definition(phi, *tables) for phi in maps]
     assert all(any(col) for col in zip(*got))
+
+    # V over GF(4), an extension field: 4^10 element pairs are out of reach,
+    # so the laws run on every pair drawn from the basis, the sums of two
+    # basis elements and seeded random elements. The first two already
+    # decide each law: the bilinear ones on basis pairs, the square and aba
+    # through their polarizations (a + c)^2 and (a + c)b(a + c)
+    P, F = poset_from_relations([1, 2, 3], [(1, 2), (1, 3)]), GF(4)
+    rng = random.Random(20261019)
+    es = [basis_element(P, F, x, y) for x, y in P.comparable_pairs()]
+    elems = (es + [a + b for a, b in itertools.combinations(es, 2)]
+             + [IncElement(P, F, [rng.randrange(F.q) for _ in range(P.dim)])
+                for _ in range(10)])
+    maps = _random_maps(P, F, 40, 20261020)
+    swap = order_induced_map(enumerate_order_maps(P, "automorphism")[1], F)
+    for _ in range(6):
+        beta = IncElement(P, F, [rng.randrange(1, F.q) for _ in range(P.n)]
+                          + [rng.randrange(F.q) for _ in range(P.n_strict)])
+        shift = shift_from_functional(
+            P, F, [rng.randrange(F.q) for _ in range(P.n)] + [0] * P.n_strict)
+        maps += [conjugation_map(beta), compose(conjugation_map(beta), swap),
+                 compose(shift, conjugation_map(beta))]
+    tables = _law_tables(P, F, elems)
+    got = [tuple(p(phi) for p in PREDICATES) for phi in maps]
+    assert got == [_by_definition(phi, *tables) for phi in maps]
+    # V has no order anti-automorphism, hence no algebra anti-automorphism
+    assert [any(col) for col in zip(*got)] == [True] * 4 + [False, True]
+    assert not all(all(col) for col in zip(*got))
 
 
 def _all_jordan_laws(phi):
