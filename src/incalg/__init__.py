@@ -14,7 +14,7 @@ from .classify import (ClassifyReport, JordanFactorization, ScalarSplit,
                        Z2Factorization, classify_preserver, jordan_decompose,
                        scalar_split, z2_decompose)
 from .errors import IncalgError
-from .field import GF, QQ, Scalar, field_from_flag, primitive_root_of_unity
+from .field import GF, QQ, field_from_flag, primitive_root_of_unity
 from .linmaps import (LinMap, apply_map, compose, conjugation_map,
                       format_linmap, identity_map, is_algebra_automorphism,
                       is_bijective, is_jordan_homomorphism,

@@ -32,6 +32,7 @@ covers it; classify_preserver and the exhaustive verifier both ask it.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .algebra import (IncElement, as_scalar_multiple_of_delta, convolve_coeffs,
                       delta, is_central_coeffs, try_inverse)
@@ -42,7 +43,7 @@ from .errors import (DisconnectedPoset, DownstreamJordanFailure,
                      RecompositionMismatch, RootConditionFailed,
                      ThetaNotBijective, ThetaNotSingleBasisVector,
                      UnsupportedRegime)
-from .field import Scalar, primitive_root_of_unity
+from .field import primitive_root_of_unity
 from .linmaps import (LinMap, _apply_vec, _has_shift_form, _is_algebra_hom,
                       apply_map, compose, conjugation_map, format_linmap,
                       has_idempotent_diagonal_images, identity_map,
@@ -85,7 +86,7 @@ class Z2Factorization:
 class ScalarSplit:
     """phi = r * psi with r^(k-1) = 1 and psi an algebra automorphism or
     anti-automorphism (whose own factors sit in `factorization`)."""
-    r: Scalar
+    r: int | Fraction
     psi: LinMap
     psi_kind: str
     factorization: JordanFactorization
@@ -303,13 +304,14 @@ def scalar_split(phi, k, mode="exhaustive", budget=DEFAULT_BUDGET):
         raise ValueError("scalar_split applies to k >= 3")
     if not is_connected(phi.poset):
         raise DisconnectedPoset("factorization needs a connected poset")
-    return _scalar_split(phi, k, mode, budget, jordan_decompose)
+    if not is_bijective(phi):
+        raise HypothesesNotMet("factorization covers bijective maps only")
+    return _scalar_split(phi, k, mode, budget)
 
 
-def _scalar_split(phi, k, mode, budget, decompose):
-    """scalar_split past its guards. decompose factors the normalized map:
-    jordan_decompose, or _jordan_factor when phi is known to be bijective
-    (then so is the normalized map, a nonzero multiple of phi)."""
+def _scalar_split(phi, k, mode, budget):
+    """scalar_split for a map known to be bijective, on a connected poset;
+    the normalized map, a nonzero multiple of phi, is then bijective too."""
     P, F = phi.poset, phi.field
     check = is_k_potent_preserver(phi, k, mode=mode, budget=budget)
     if not check:
@@ -329,20 +331,19 @@ def _scalar_split(phi, k, mode, budget, decompose):
     if apply_map(psi, delta(P, F)) != delta(P, F):
         raise InternalConsistencyError("normalized map does not fix delta", psi)
     try:
-        fact = decompose(psi)
+        fact = _jordan_factor(psi)
     except NotJordanAutomorphism as e:
         raise DownstreamJordanFailure(
             f"normalized map is not a Jordan automorphism: {e}") from e
 
-    # psi is bijective (decompose checked it, or phi is), so the direct
-    # predicate needs no second elimination
+    # psi is bijective, so the direct predicate needs no second elimination
     kind = fact.order_map.kind
     if not _is_algebra_hom(psi, anti=kind == OrderMap.ANTI):
         raise InternalConsistencyError(
             "factor kind disagrees with the direct predicate", kind)
     if scale_map(psi, r) != phi:
         raise RecompositionMismatch("r * psi does not recompose to the input", phi)
-    return ScalarSplit(Scalar(F, r), psi, kind, fact)
+    return ScalarSplit(r, psi, kind, fact)
 
 
 # --- dispatch and reporting ---
@@ -425,8 +426,8 @@ def _certify_char_ne_2(phi, k, mode, budget):
 
 
 def _certify_scalar_split(phi, k, mode, budget):
-    split = _scalar_split(phi, k, mode, budget, _jordan_factor)
-    r = phi.field.format(split.r.value)
+    split = _scalar_split(phi, k, mode, budget)
+    r = phi.field.format(split.r)
     return ({"bijective": True, "potent_preserver": mode, "r": r,
              "r_power_check": f"r^{k - 1} = 1", "psi_kind": split.psi_kind},
             {"r": r, "psi": _linmap_jsonable(split.psi),

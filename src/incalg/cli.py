@@ -122,7 +122,7 @@ def cmd_spectral(args):
         "k": args.k,
         "field": F.flag(),
         "element": _element_triples(f),
-        "epsilon": F.format(spec.epsilon.value),
+        "epsilon": F.format(spec.epsilon),
         "idempotents": [_element_triples(b) for b in spec.idempotents],
         "conjugator": _element_triples(sigma),
         "diagonal_form": _element_triples(diagonal_part(f)),

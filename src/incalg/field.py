@@ -1,13 +1,16 @@
 """Exact scalar arithmetic over small finite fields and the rationals.
 
 Finite field elements are integer codes 0..q-1 in the polynomial basis: the
-code of sum(c_i * t^i) is sum(c_i * p^i). Multiplication and inversion go
-through exp/log tables built once at construction from a primitive element;
-addition is digitwise mod p. Rational scalars are stdlib Fractions. Both
-lanes are exact; nothing here ever touches floats.
+code of sum(c_i * t^i) is sum(c_i * p^i). Addition is digitwise mod p;
+multiplication is polynomial multiplication mod p and a fixed irreducible
+modulus. Both fill q x q tables once at construction, and the inverse of a
+is read off a's row of the product table. Rational scalars are stdlib
+Fractions. Every scalar, in and out, is a raw value: a code or a Fraction.
+Both lanes are exact; nothing here ever touches floats.
 """
 
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -16,8 +19,7 @@ from .errors import DivisionByZero, NoPrimitiveRoot, NotFound, UnsupportedField
 MAX_Q = 64
 
 # Fixed modulus per prime-power size, coefficients little-endian including the
-# leading 1. Irreducibility is re-verified at construction; primitivity is not
-# assumed (a generator is searched for).
+# leading 1. Irreducibility is re-verified at construction.
 _MODULI = {
     4: (1, 1, 1),
     8: (1, 1, 0, 1),
@@ -97,8 +99,9 @@ def _is_irreducible(mod, p):
 class FieldSpec:
     """A field usable as scalars: GF(q) for q = p^m <= 64, or the rationals.
 
-    Finite instances carry exp/log and full q x q add/mul tables; the numpy
-    copies (add_np, mul_np) are what the compiled kernels index into.
+    Finite instances carry full q x q add/mul tables and q-entry neg/inv
+    tables as plain lists; the numpy copies (add_np, mul_np) are what the
+    vectorized sweep and potent tables index into.
     """
 
     def __init__(self, kind, q=None):
@@ -158,35 +161,8 @@ class FieldSpec:
         self._addt = [[code([(x + y) % p for x, y in zip(digits(a), digits(b))])
                        for b in range(q)] for a in range(q)]
         self._negt = [code([(-x) % p for x in digits(a)]) for a in range(q)]
-
-        # exp/log from the first generator of the multiplicative group
-        gen = None
-        for g in range(1, q):
-            seen = 1
-            x = g
-            while x != 1:
-                x = raw_mul(x, g)
-                seen += 1
-            if seen == q - 1:
-                gen = g
-                break
-        if gen is None:  # cannot happen for a field, guard stays loud
-            raise UnsupportedField(f"no multiplicative generator found for GF({q})")
-        self._exp = [1] * (q - 1)
-        for i in range(1, q - 1):
-            self._exp[i] = raw_mul(self._exp[i - 1], gen)
-        self._log = [0] * q
-        for i, v in enumerate(self._exp):
-            self._log[v] = i
-
-        self._mult = [[0] * q for _ in range(q)]
-        for a in range(1, q):
-            la = self._log[a]
-            for b in range(1, q):
-                self._mult[a][b] = self._exp[(la + self._log[b]) % (q - 1)]
-        self._invt = [0] * q
-        for a in range(1, q):
-            self._invt[a] = self._exp[(q - 1 - self._log[a]) % (q - 1)]
+        self._mult = [[raw_mul(a, b) for b in range(q)] for a in range(q)]
+        self._invt = [0] + [self._mult[a].index(1) for a in range(1, q)]
 
         self.add_np = np.array(self._addt, dtype=np.uint8)
         self.mul_np = np.array(self._mult, dtype=np.uint8)
@@ -250,9 +226,6 @@ class FieldSpec:
             raise UnsupportedField("cannot enumerate the rationals")
         return range(self.q)
 
-    def scalar(self, value):
-        return Scalar(self, value)
-
     # --- serialization of raw values ---
 
     def format(self, a):
@@ -295,21 +268,14 @@ class FieldSpec:
         return "QQ" if self.kind == "rational" else f"GF({self.q})"
 
 
-_CACHE = {}
-
-
+@cache
 def GF(q):
-    key = ("finite", q)
-    if key not in _CACHE:
-        _CACHE[key] = FieldSpec("finite", q)
-    return _CACHE[key]
+    return FieldSpec("finite", q)
 
 
+@cache
 def QQ():
-    key = ("rational", None)
-    if key not in _CACHE:
-        _CACHE[key] = FieldSpec("rational")
-    return _CACHE[key]
+    return FieldSpec("rational")
 
 
 def field_from_flag(s):
@@ -324,101 +290,32 @@ def field_from_flag(s):
     return GF(q)
 
 
-class Scalar:
-    """A field element bundled with its field, for API boundaries.
-
-    Internal code paths work on raw codes/Fractions; this wrapper exists so
-    results like roots of unity carry their field and compare safely.
-    """
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field, value):
-        self.field = field
-        self.value = value
-
-    def _coerce(self, other):
-        if isinstance(other, Scalar):
-            if other.field != self.field:
-                raise UnsupportedField("scalars from different fields")
-            return other.value
-        if isinstance(other, int):
-            return self.field.from_int(other)
-        raise TypeError(f"cannot combine Scalar with {type(other).__name__}")
-
-    def __add__(self, other):
-        return Scalar(self.field, self.field.add(self.value, self._coerce(other)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return Scalar(self.field, self.field.sub(self.value, self._coerce(other)))
-
-    def __mul__(self, other):
-        return Scalar(self.field, self.field.mul(self.value, self._coerce(other)))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return Scalar(self.field, self.field.div(self.value, self._coerce(other)))
-
-    def __pow__(self, n):
-        return Scalar(self.field, self.field.pow_(self.value, n))
-
-    def __neg__(self):
-        return Scalar(self.field, self.field.neg(self.value))
-
-    def __eq__(self, other):
-        if isinstance(other, Scalar):
-            return self.field == other.field and self.value == other.value
-        if isinstance(other, int):
-            return self.value == self.field.from_int(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field, self.value))
-
-    def __bool__(self):
-        return self.value != self.field.zero
-
-    def __repr__(self):
-        return f"{self.field.format(self.value)} in {self.field!r}"
-
-
 def multiplicative_order(F, a):
+    """The least n >= 1 with a^n = 1. Over the rationals only 1 and -1 have
+    one; any other nonzero rational raises NotFound."""
     if a == F.zero:
         raise DivisionByZero("0 has no multiplicative order")
+    if not F.is_finite() and a not in (1, -1):
+        raise NotFound(f"{F.format(a)} has infinite multiplicative order")
     n = 1
     x = a
     while x != F.one:
         x = F.mul(x, a)
         n += 1
-        if F.is_finite() and n > F.q:
-            raise NotFound("order search diverged")  # unreachable over a field
     return n
 
 
 def primitive_root_of_unity(F, m):
-    """First element (in enumeration order) of multiplicative order exactly m.
-
-    Over the rationals only m=1 and m=2 have one (1 and -1).
+    """The first of roots_of_unity(F, m) of multiplicative order exactly m,
+    as a raw value. Over the rationals only m=1 and m=2 have one (1 and -1).
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if not F.is_finite():
-        if m == 1:
-            return Scalar(F, F.one)
-        if m == 2:
-            return Scalar(F, Fraction(-1))
-        raise NoPrimitiveRoot(f"the rationals contain no primitive {m}-th root of unity")
-    if m == 1:
-        return Scalar(F, F.one)
-    if (F.q - 1) % m != 0:
-        raise NoPrimitiveRoot(f"GF({F.q}) contains no primitive {m}-th root of unity")
-    for a in range(1, F.q):
-        if F.pow_(a, m) == F.one and multiplicative_order(F, a) == m:
-            return Scalar(F, a)
-    raise NoPrimitiveRoot(f"GF({F.q}) contains no primitive {m}-th root of unity")
+    for a in roots_of_unity(F, m):
+        if multiplicative_order(F, a) == m:
+            return a
+    where = f"GF({F.q}) contains" if F.is_finite() else "the rationals contain"
+    raise NoPrimitiveRoot(f"{where} no primitive {m}-th root of unity")
 
 
 def roots_of_unity(F, m):

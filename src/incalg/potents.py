@@ -18,7 +18,7 @@ from .algebra import (IncElement, basis_element, conjugate, convolve,
 from .errors import (BudgetExceeded, HypothesesNotMet, InternalConsistencyError,
                      NoPrimitiveRoot, NotConjugate, NotIdempotent, NotCommuting,
                      NotKPotent, StructureMismatch, UnsupportedField)
-from .field import Scalar, primitive_root_of_unity, roots_of_unity
+from .field import primitive_root_of_unity, roots_of_unity
 
 DEFAULT_BUDGET = 1 << 20
 
@@ -130,7 +130,7 @@ def sample_k_potents(P, F, k, count, rng):
 class SpectralDecomposition:
     original: IncElement
     k: int
-    epsilon: Scalar
+    epsilon: int | Fraction
     idempotents: tuple
 
 
@@ -142,7 +142,7 @@ def spectral_decompose(a, k):
     if not is_k_potent(a, k):
         raise NotKPotent(f"element is not {k}-potent")
     try:
-        eps = primitive_root_of_unity(F, k - 1).value
+        eps = primitive_root_of_unity(F, k - 1)
     except NoPrimitiveRoot as e:
         raise HypothesesNotMet(str(e)) from e
     c = F.from_int(k - 1)
@@ -173,7 +173,7 @@ def spectral_decompose(a, k):
         acc = term if acc is None else acc + term
     if acc != a:
         raise InternalConsistencyError("spectral recomposition failed", a)
-    return SpectralDecomposition(a, k, Scalar(F, eps), tuple(idems))
+    return SpectralDecomposition(a, k, eps, tuple(idems))
 
 
 def simultaneous_diagonalize(alphas):

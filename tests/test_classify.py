@@ -144,9 +144,9 @@ def test_scalar_split_recovers_root():
                      "anti_automorphism", [(1, 1, 1), (2, 2, 1), (1, 2, 3)])
     phi = scale_map(psi, 4)
     split = scalar_split(phi, 3)
-    assert split.r.value == 4
+    assert split.r == 4
     assert split.psi_kind == "anti_automorphism"
-    assert scale_map(split.psi, split.r.value) == phi
+    assert scale_map(split.psi, split.r) == phi
     assert split.factorization.recompose() == split.psi
 
 
@@ -155,11 +155,24 @@ def test_scalar_split_gf7_k4_all_roots():
     ident = identity_map(P, F)
     for r in (1, 2, 4):
         split = scalar_split(scale_map(ident, r), 4)
-        assert split.r.value == r
+        assert split.r == r
         assert split.psi == ident
     # 3 is not a cube root of unity, so 3*id does not even preserve
     with pytest.raises(HypothesesNotMet):
         scalar_split(scale_map(ident, 3), 4)
+
+
+def test_scalar_split_refuses_a_non_bijective_preserver():
+    # the projection e11 -> e11, e22 -> e22, e12 -> 0 preserves tripotents
+    # but is not bijective: a precondition failure, as in z2_decompose
+    P, F = chain(2), GF(5)
+    projection = linmap_from_images(
+        P, F, [basis_element(P, F, 1, 1), basis_element(P, F, 2, 2),
+               from_triples(P, F, [])])
+    assert is_k_potent_preserver(projection, 3)
+    with pytest.raises(HypothesesNotMet,
+                       match="^factorization covers bijective maps only$"):
+        scalar_split(projection, 3)
 
 
 def test_scalar_split_rejects_k2():
@@ -267,7 +280,7 @@ def test_reports_match_the_pinned_digests_and_factors_recompose():
     for phi in maps:
         split = scalar_split(phi, 4)
         assert split.factorization.recompose() == split.psi
-        assert scale_map(split.psi, split.r.value) == phi
+        assert scale_map(split.psi, split.r) == phi
 
     P, F = vee(), GF(2)
     maps = swept_preservers(P, F, 2)

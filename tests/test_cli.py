@@ -15,6 +15,7 @@ from incalg.poset import chain
 IDENTITY_MAP_GF5 = "5 3\n1 0 0\n0 1 0\n0 0 1\n"
 DOUBLED_MAP_GF5 = "5 3\n2 0 0\n0 2 0\n0 0 2\n"
 DOUBLED_MAP_GF7 = "7 3\n2 0 0\n0 2 0\n0 0 2\n"
+NEGATED_MAP_Q = "Q 3\n-1 0 0\n0 -1 0\n0 0 -1\n"
 
 
 def run(capsys, *argv):
@@ -172,6 +173,14 @@ def test_decompose_scalar_multiple_of_identity(capsys, monkeypatch):
     assert out["regime"] == "kpotent"
     assert out["certificates"]["r"] == "2"
     assert out["factors"]["order_map"]["kind"] == "automorphism"
+    # over Q the root is the Fraction -1, printed as "-1"
+    monkeypatch.setattr("sys.stdin", io.StringIO(NEGATED_MAP_Q))
+    code, out = run(capsys, "decompose", "--poset", "chain:2", "--field", "Q",
+                    "--k", "3", "--map", "-")
+    assert code == 0
+    assert out["regime"] == "tripotent"
+    assert out["certificates"]["r"] == out["factors"]["r"] == "-1"
+    assert out["certificates"]["potent_preserver"] == "sampled"
 
 
 def test_decompose_non_preserver_exits_one(capsys, monkeypatch):
@@ -200,6 +209,13 @@ def test_spectral_inline_element(capsys):
     assert out["epsilon"] == "4"
     assert len(out["idempotents"]) == 2
     assert out["diagonal_form"] == [[1, 1, "1"], [2, 2, "4"]]
+    code, out = run(capsys, "spectral", "--poset", "chain:2", "--field", "Q",
+                    "--k", "3", "--element", "[[1,1,1],[2,2,-1],[1,2,3]]")
+    assert code == 0
+    assert out["epsilon"] == "-1"
+    assert out["idempotents"] == [[[2, 2, "1"], [1, 2, "-3/2"]],
+                                  [[1, 1, "1"], [1, 2, "3/2"]]]
+    assert out["diagonal_form"] == [[1, 1, "1"], [2, 2, "-1"]]
 
 
 def test_spectral_list_labels_round_trip(capsys):
@@ -228,6 +244,19 @@ def test_spectral_obstructed_input_exits_one(capsys):
                     "--k", "3", "--element", "[[1,1,1],[2,2,1],[1,2,1]]")
     assert code == 1
     assert out["error"] == "HypothesesNotMet"
+
+
+@pytest.mark.parametrize("argv,code,error,message", [
+    (("spectral", "--poset", "chain:2", "--field", "Q", "--k", "4",
+      "--element", "[[1,1,1]]"), 1, "HypothesesNotMet",
+     "the rationals contain no primitive 3-th root of unity"),
+    (("verify", "--poset", "chain:2", "--field", "4", "--theorem", "kpotent",
+      "--k", "3"), 2, "UnsupportedRegime",
+     "GF(4) contains no primitive 2-th root of unity"),
+], ids=["spectral-q-k4", "verify-gf4-k3"])
+def test_missing_root_of_unity_is_refused_by_name(capsys, argv, code, error,
+                                                  message):
+    assert run(capsys, *argv) == (code, {"error": error, "message": message})
 
 
 def test_spectral_many_idempotents_exits_zero(capsys):

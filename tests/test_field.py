@@ -5,12 +5,14 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from incalg.errors import DivisionByZero, NoPrimitiveRoot, UnsupportedField
-from incalg.field import (GF, QQ, Scalar, field_from_flag,
-                          multiplicative_order, primitive_root_of_unity,
-                          roots_of_unity)
+from incalg.errors import (DivisionByZero, NoPrimitiveRoot, NotFound,
+                           UnsupportedField)
+from incalg.field import (GF, QQ, field_from_flag, multiplicative_order,
+                          primitive_root_of_unity, roots_of_unity)
 
 SMALL_Q = [2, 3, 4, 5, 7, 8, 9]
+ALL_Q = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37,
+         41, 43, 47, 49, 53, 59, 61, 64]
 
 
 # polynomial arithmetic oracle, written from scratch on purpose
@@ -45,19 +47,48 @@ def _code(ds, p):
 
 
 MODULI = {4: (2, [1, 1, 1]), 8: (2, [1, 1, 0, 1]), 9: (3, [2, 2, 1]),
-          16: (2, [1, 1, 0, 0, 1]), 27: (3, [1, 2, 0, 1])}
+          16: (2, [1, 1, 0, 0, 1]), 25: (5, [2, 4, 1]), 27: (3, [1, 2, 0, 1]),
+          32: (2, [1, 0, 1, 0, 0, 1]), 49: (7, [3, 6, 1]),
+          64: (2, [1, 1, 0, 1, 1, 0, 1])}
 
 
-@pytest.mark.parametrize("q", [4, 8, 9, 16, 27])
-def test_extension_field_mul_matches_polynomial_oracle(q):
-    F = GF(q)
+def _oracle_mul(q):
+    """Multiplication of GF(q) codes: residues mod q for a prime q, the
+    polynomial oracle for the sizes in MODULI."""
+    if q not in MODULI:
+        return lambda a, b: a * b % q
     p, mod = MODULI[q]
     m = len(mod) - 1
+    return lambda a, b: _code(_poly_mulmod(_digits(a, p, m), _digits(b, p, m),
+                                           mod, p), p)
+
+
+@pytest.mark.parametrize("q", sorted(MODULI))
+def test_extension_field_mul_matches_polynomial_oracle(q):
+    F = GF(q)
+    mul = _oracle_mul(q)
     for a in range(q):
         for b in range(q):
-            expect = _code(_poly_mulmod(_digits(a, p, m), _digits(b, p, m),
-                                        mod, p), p)
-            assert F.mul(a, b) == expect
+            assert F.mul(a, b) == mul(a, b)
+        if a:
+            assert mul(a, F.inv(a)) == 1
+
+
+@pytest.mark.parametrize("q", ALL_Q)
+def test_primitive_root_is_the_first_element_of_its_order(q):
+    F = GF(q)
+    mul = _oracle_mul(q)
+
+    def order(a):
+        n, x = 1, a
+        while x != 1:
+            x, n = mul(x, a), n + 1
+        return n
+
+    orders = [order(a) for a in range(1, q)]
+    for m in range(1, q):
+        if (q - 1) % m == 0:
+            assert primitive_root_of_unity(F, m) == 1 + orders.index(m)
 
 
 @pytest.mark.parametrize("q", SMALL_Q)
@@ -175,18 +206,30 @@ def test_multiplicative_orders_divide_group_order(q):
     assert any(multiplicative_order(F, a) == q - 1 for a in range(1, q))
 
 
+def test_rational_orders_are_finite_only_for_plus_minus_one():
+    F = QQ()
+    assert multiplicative_order(F, Fraction(1)) == 1
+    assert multiplicative_order(F, Fraction(-1)) == 2
+    for a in (Fraction(2), Fraction(1, 2), Fraction(-3)):
+        with pytest.raises(NotFound):
+            multiplicative_order(F, a)
+
+
 def test_primitive_roots_of_unity():
     r = primitive_root_of_unity(GF(5), 4)
-    assert isinstance(r, Scalar)
-    assert multiplicative_order(GF(5), r.value) == 4
-    assert primitive_root_of_unity(GF(7), 3).value in (2, 4)
-    assert primitive_root_of_unity(QQ(), 1).value == 1
-    assert primitive_root_of_unity(QQ(), 2).value == -1
+    assert type(r) is int
+    assert multiplicative_order(GF(5), r) == 4
+    assert primitive_root_of_unity(GF(7), 3) in (2, 4)
+    for m, want in ((1, 1), (2, -1)):
+        r = primitive_root_of_unity(QQ(), m)
+        assert type(r) is Fraction and r == want
     with pytest.raises(NoPrimitiveRoot):
         primitive_root_of_unity(GF(2), 2)
-    with pytest.raises(NoPrimitiveRoot):
+    with pytest.raises(NoPrimitiveRoot,
+                       match="^the rationals contain no primitive 3-th root of unity$"):
         primitive_root_of_unity(QQ(), 3)
-    with pytest.raises(NoPrimitiveRoot):
+    with pytest.raises(NoPrimitiveRoot,
+                       match="^GF\\(4\\) contains no primitive 2-th root of unity$"):
         primitive_root_of_unity(GF(4), 2)  # q - 1 = 3 has no square root order
 
 
@@ -203,14 +246,3 @@ def test_field_from_flag_round_trip():
         assert field_from_flag(F.flag()) is F
     assert field_from_flag("Q") is QQ()
 
-
-def test_scalar_wrapper_arithmetic():
-    F = GF(7)
-    a = F.scalar(3)
-    b = F.scalar(5)
-    assert (a + b).value == 1
-    assert (a * b).value == 1
-    assert (a ** 3).value == 6
-    assert (-a).value == 4
-    assert a == 3 and a != b
-    assert bool(F.scalar(0)) is False
