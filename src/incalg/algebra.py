@@ -3,9 +3,10 @@
 An element is a coefficient vector over the canonical comparable-pair basis
 of its poset (diagonal pairs first, then strict pairs). Multiplication is
 convolution: (fg)(x,y) = sum of f(x,z) g(z,y) over x <= z <= y, driven by the
-poset's nonzero single-step structure constants. ``convolve_coeffs`` and
-``power_coeffs`` work on raw coefficient tuples, and every product of
-elements goes through them. All arithmetic is exact.
+poset's nonzero single-step structure constants. ``convolve_coeffs``,
+``power_coeffs``, ``add_coeffs``, ``sub_coeffs``, ``scale_coeffs`` and
+``conjugate_coeffs`` work on raw coefficient tuples; the element operators
+and the map builders of ``linmaps`` go through them. All arithmetic is exact.
 """
 
 from fractions import Fraction
@@ -55,19 +56,16 @@ class IncElement:
 
     def __add__(self, other):
         _check_same(self, other)
-        F = self.field
-        return IncElement(self.poset, F,
-                          [F.add(a, b) for a, b in zip(self.coeffs, other.coeffs)])
+        return IncElement(self.poset, self.field,
+                          add_coeffs(self.field, self.coeffs, other.coeffs))
 
     def __sub__(self, other):
         _check_same(self, other)
-        F = self.field
-        return IncElement(self.poset, F,
-                          [F.sub(a, b) for a, b in zip(self.coeffs, other.coeffs)])
+        return IncElement(self.poset, self.field,
+                          sub_coeffs(self.field, self.coeffs, other.coeffs))
 
     def __neg__(self):
-        F = self.field
-        return IncElement(self.poset, F, [F.neg(a) for a in self.coeffs])
+        return self.scale(self.field.neg(self.field.one))
 
     def __mul__(self, other):
         if isinstance(other, IncElement):
@@ -79,15 +77,8 @@ class IncElement:
 
     def scale(self, r):
         """Scalar multiple; r is a raw field value (a code, or a Fraction)."""
-        F = self.field
-        if F.is_finite():
-            if not (isinstance(r, int) and 0 <= r < F.q):
-                raise StructureMismatch(f"{r!r} is not a scalar code of {F!r}")
-        else:
-            if not isinstance(r, (int, Fraction)):
-                raise StructureMismatch(f"{r!r} is not an exact rational scalar")
-            r = Fraction(r)
-        return IncElement(self.poset, F, [F.mul(r, a) for a in self.coeffs])
+        return IncElement(self.poset, self.field,
+                          scale_coeffs(self.field, r, self.coeffs))
 
     def __eq__(self, other):
         return (isinstance(other, IncElement) and self.poset == other.poset
@@ -204,6 +195,43 @@ def convolve_coeffs(P, F, fc, gc):
     return tuple(out)
 
 
+def add_coeffs(F, a, b):
+    """Coefficient tuple of f + g from the raw coefficients a and b."""
+    if F.is_finite():
+        addt = F._addt
+        return tuple([addt[x][y] for x, y in zip(a, b)])
+    return tuple([x + y for x, y in zip(a, b)])
+
+
+def sub_coeffs(F, a, b):
+    """Coefficient tuple of f - g from the raw coefficients a and b."""
+    if F.is_finite():
+        addt, negt = F._addt, F._negt
+        return tuple([addt[x][negt[y]] for x, y in zip(a, b)])
+    return tuple([x - y for x, y in zip(a, b)])
+
+
+def scale_coeffs(F, r, a):
+    """Coefficient tuple of r f from the raw coefficients a of f. r must be
+    a raw value of F: a code of GF(q), or an int or Fraction over Q;
+    anything else raises StructureMismatch."""
+    if F.is_finite():
+        if not (isinstance(r, int) and 0 <= r < F.q):
+            raise StructureMismatch(f"{r!r} is not a scalar code of {F!r}")
+        row = F._mult[r]
+        return tuple([row[x] for x in a])
+    if not isinstance(r, (int, Fraction)):
+        raise StructureMismatch(f"{r!r} is not an exact rational scalar")
+    r = Fraction(r)
+    return tuple([r * x for x in a])
+
+
+def conjugate_coeffs(P, F, b, f, binv):
+    """Coefficient tuple of b f binv from raw coefficient tuples; binv is
+    the inverse of b, computed once by the caller."""
+    return convolve_coeffs(P, F, convolve_coeffs(P, F, b, f), binv)
+
+
 def power_coeffs(P, F, fc, n):
     """Coefficient tuple of f^n (n >= 1), by repeated squaring."""
     if n < 1:
@@ -286,7 +314,10 @@ def is_invertible(f):
 
 def conjugate(f, b):
     """b f b^-1; b must be invertible."""
-    return convolve(convolve(b, f), try_inverse(b))
+    _check_same(f, b)
+    P, F = f.poset, f.field
+    return IncElement(P, F, conjugate_coeffs(P, F, b.coeffs, f.coeffs,
+                                             try_inverse(b).coeffs))
 
 
 def centralizer_basis(P, F, A):

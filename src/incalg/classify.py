@@ -12,7 +12,8 @@ Three pipelines, chosen by (k, field):
 - scalar_split: for k >= 3 a k-potent preserver is a (k-1)-th root of unity
   times a Jordan automorphism, which then goes through jordan_decompose.
 
-The pipelines work on raw coefficient tuples with algebra.convolve_coeffs.
+The pipelines work on raw coefficient tuples through the *_coeffs helpers
+of algebra.
 classify_preserver checks bijectivity once, by one elimination, and hands
 the map to private cores (_jordan_factor, _z2_factor, _scalar_split); the
 public functions keep all their checks when called directly.
@@ -34,8 +35,8 @@ covers it; classify_preserver and the exhaustive verifier both ask it.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (IncElement, as_scalar_multiple_of_delta, convolve_coeffs,
-                      delta, is_central_coeffs, try_inverse)
+from .algebra import (IncElement, as_scalar_multiple_of_delta,
+                      conjugate_coeffs, delta, is_central_coeffs, try_inverse)
 from .errors import (DisconnectedPoset, DownstreamJordanFailure,
                      HypothesesNotMet, InternalConsistencyError,
                      LambdaNotOrderMap, NoPrimitiveRoot, NotIdempotentPreserver,
@@ -101,11 +102,6 @@ def jordan_decompose(phi):
     return _jordan_factor(phi)
 
 
-def _conjugate_coeffs(P, F, b, f, binv):
-    """Coefficient tuple of b f binv."""
-    return convolve_coeffs(P, F, convolve_coeffs(P, F, b, f), binv)
-
-
 def _jordan_factor(phi):
     """jordan_decompose for a map known to be bijective, on a connected
     poset; works column by column on coefficient tuples."""
@@ -163,7 +159,7 @@ def _jordan_factor(phi):
     # e_k to sigma_k e_lam_hat(k) with sigma_k nonzero
     sigma_vals = [one] * P.n + [z] * P.n_strict
     for k in range(P.dim):
-        g = _conjugate_coeffs(P, F, binv, cols[k], b)
+        g = conjugate_coeffs(P, F, binv, cols[k], b)
         m = lam_hat[k]
         val = g[m]
         scaled = [z] * P.dim
@@ -196,7 +192,7 @@ def _recomposed_columns(P, F, b, binv, lam_hat, sigma_vals):
     for k, m in enumerate(lam_hat):
         e = [F.zero] * P.dim
         e[m] = sigma_vals[k]
-        out.append(_conjugate_coeffs(P, F, b, tuple(e), binv))
+        out.append(conjugate_coeffs(P, F, b, tuple(e), binv))
     return tuple(out)
 
 
@@ -231,7 +227,7 @@ def _z2_factor(phi, budget):
     beta = simultaneous_diagonalize([phi.image(i) for i in range(P.n)])
     b, binv = beta.coeffs, try_inverse(beta).coeffs
     # psi1 = eta^-1 o phi, with eta the conjugation by beta
-    psi1 = [_conjugate_coeffs(P, F, binv, col, b) for col in phi.cols]
+    psi1 = [conjugate_coeffs(P, F, binv, col, b) for col in phi.cols]
     for i in range(P.n):
         if any(v != z for v in psi1[i][P.n:]):
             raise InternalConsistencyError(
@@ -278,11 +274,11 @@ def _z2_factor(phi, budget):
     # commute the inner conjugation past tau: tau - id maps into F delta,
     # which eta fixes, so eta tau eta^-1 (f) = f + (tau - id)(eta^-1 f)
     shift = LinMap(P, F, [
-        _conjugate_coeffs(P, F, b,
-                          _apply_vec(tau, _conjugate_coeffs(P, F, binv, e, b)),
-                          binv)
+        conjugate_coeffs(P, F, b,
+                         _apply_vec(tau, conjugate_coeffs(P, F, binv, e, b)),
+                         binv)
         for e in ident.cols])
-    lie_part = LinMap(P, F, [_conjugate_coeffs(P, F, b, col, binv)
+    lie_part = LinMap(P, F, [conjugate_coeffs(P, F, b, col, binv)
                              for col in psi.cols])
 
     if not _has_shift_form(shift):

@@ -1,10 +1,12 @@
 """Exact scalar arithmetic over small finite fields and the rationals.
 
 Finite field elements are integer codes 0..q-1 in the polynomial basis: the
-code of sum(c_i * t^i) is sum(c_i * p^i). Addition is digitwise mod p;
-multiplication is polynomial multiplication mod p and a fixed irreducible
-modulus. Both fill q x q tables once at construction, and the inverse of a
-is read off a's row of the product table. Rational scalars are stdlib
+code of sum(c_i * t^i) is sum(c_i * p^i). Addition is digitwise mod p and
+fills a q x q table once at construction. The product table is filled row by
+row from it: a t^i comes from a by shifting digits and reducing by a fixed
+monic modulus, and a b is a sum of those through the addition table. The
+inverse of a is read off a's row, and a modulus whose table has a nonzero row
+without a 1 is refused as reducible. Rational scalars are stdlib
 Fractions. Every scalar, in and out, is a raw value: a code or a Fraction.
 Both lanes are exact; nothing here ever touches floats.
 """
@@ -19,7 +21,7 @@ from .errors import DivisionByZero, NoPrimitiveRoot, NotFound, UnsupportedField
 MAX_Q = 64
 
 # Fixed modulus per prime-power size, coefficients little-endian including the
-# leading 1. Irreducibility is re-verified at construction.
+# leading 1. Irreducibility is re-verified on the product table.
 _MODULI = {
     4: (1, 1, 1),
     8: (1, 1, 0, 1),
@@ -49,59 +51,13 @@ def _factor_prime_power(q):
     return None
 
 
-def _poly_trim(a):
-    while a and a[-1] == 0:
-        a = a[:-1]
-    return a
-
-
-def _poly_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
-
-
-def _poly_mod(a, mod, p):
-    a = list(a)
-    dm = len(mod) - 1
-    inv_lead = pow(mod[-1], p - 2, p)
-    while len(_poly_trim(a)) - 1 >= dm:
-        a = _poly_trim(a)
-        shift = len(a) - 1 - dm
-        c = (a[-1] * inv_lead) % p
-        for i, mi in enumerate(mod):
-            a[shift + i] = (a[shift + i] - c * mi) % p
-        a = _poly_trim(a)
-    return _poly_trim(a)
-
-
-def _is_irreducible(mod, p):
-    # Exhaustive trial division by every monic polynomial of degree 1..deg/2.
-    deg = len(mod) - 1
-    for d in range(1, deg // 2 + 1):
-        for code in range(p ** d):
-            digits = []
-            c = code
-            for _ in range(d):
-                digits.append(c % p)
-                c //= p
-            divisor = digits + [1]
-            if _poly_mod(mod, divisor, p) == []:
-                return False
-    return True
-
-
 class FieldSpec:
     """A field usable as scalars: GF(q) for q = p^m <= 64, or the rationals.
 
     Finite instances carry full q x q add/mul tables and q-entry neg/inv
-    tables as plain lists; the numpy copies (add_np, mul_np) are what the
-    vectorized sweep and potent tables index into.
+    tables as plain lists, the mul table filled from the add table one row
+    at a time; the numpy copies (add_np, mul_np) are what the vectorized
+    sweep and potent tables index into.
     """
 
     def __init__(self, kind, q=None):
@@ -132,12 +88,7 @@ class FieldSpec:
 
     def _build_tables(self):
         p, m, q = self.p, self.m, self.q
-        if m == 1:
-            mod = None
-        else:
-            mod = _MODULI[q]
-            if not _is_irreducible(mod, p):
-                raise UnsupportedField(f"modulus for GF({q}) is reducible")
+        mod = _MODULI.get(q)
 
         def digits(code):
             out = []
@@ -152,17 +103,35 @@ class FieldSpec:
                 c = c * p + d
             return c
 
-        def raw_mul(a, b):
-            if m == 1:
-                return (a * b) % p
-            prod = _poly_mul(digits(a), digits(b), p)
-            return code(_poly_mod(prod, list(mod), p) + [0] * m)
-
-        self._addt = [[code([(x + y) % p for x, y in zip(digits(a), digits(b))])
-                       for b in range(q)] for a in range(q)]
+        addt = self._addt = [
+            [code([(x + y) % p for x, y in zip(digits(a), digits(b))])
+             for b in range(q)] for a in range(q)]
         self._negt = [code([(-x) % p for x in digits(a)]) for a in range(q)]
-        self._mult = [[raw_mul(a, b) for b in range(q)] for a in range(q)]
-        self._invt = [0] + [self._mult[a].index(1) for a in range(1, q)]
+        # b = (b - p^i) + t^i for the lowest nonzero digit i of b
+        steps = []
+        for b in range(1, q):
+            i = 0
+            while b // p ** i % p == 0:
+                i += 1
+            steps.append((b - p ** i, i))
+        top = p ** (m - 1)
+        self._mult = []
+        for a in range(q):
+            # a t^i for i < m: shift the digits up one place and subtract the
+            # overflow digit times the monic modulus
+            at = [a]
+            for _ in range(m - 1):
+                h, rest = divmod(at[-1], top)
+                at.append(code([(d - h * c) % p
+                                for d, c in zip(digits(rest * p), mod)]))
+            row = [0] * q
+            for b, (prev, i) in enumerate(steps, start=1):
+                row[b] = addt[row[prev]][at[i]]
+            self._mult.append(row)
+        # GF(p)[t]/(mod) is a field exactly when every nonzero a has an inverse
+        if any(1 not in row for row in self._mult[1:]):
+            raise UnsupportedField(f"modulus for GF({q}) is reducible")
+        self._invt = [0] + [row.index(1) for row in self._mult[1:]]
 
         self.add_np = np.array(self._addt, dtype=np.uint8)
         self.mul_np = np.array(self._mult, dtype=np.uint8)

@@ -125,9 +125,7 @@ def scaled_maps(maps, F, k):
     for m in maps:
         for r in roots:
             sm = scale_map(m, r)
-            key = tuple(tuple(c) for c in sm.cols)
-            if key not in seen:
-                seen[key] = sm
+            seen.setdefault(sm.cols, sm)
     return seen
 
 

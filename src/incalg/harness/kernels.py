@@ -51,7 +51,6 @@ class SweepTables:
     dig: np.ndarray        # (space, dim) uint8, base-q digits of every code
     vec_add: np.ndarray    # (space, space) int64, codewise vector addition
     vec_smul: np.ndarray   # (q, space) int64, scalar times vector
-    square: np.ndarray     # (space,) int64, code of f^2
     basis: np.ndarray      # (dim,) int64, codes of basis vectors
 
 
@@ -87,12 +86,10 @@ def build_sweep_tables(P, F, budget=DEFAULT_BUDGET):
     if key in _TABLES_CACHE:
         return _TABLES_CACHE[key]
     _, dig = space_digits(P, F)
-    squares = batch_convolve(dig, dig, P, F)
     tab = SweepTables(
         dim, P.n, q, space, dig,
         _encode(lambda j: F.add_np[dig[:, None, j], dig[None, :, j]], dim, q),
         _encode(lambda j: F.mul_np[:, dig[:, j]], dim, q),
-        _encode(lambda j: squares[:, j], dim, q),
         q ** np.arange(dim, dtype=np.int64))
     _TABLES_CACHE[key] = tab
     return tab
@@ -175,14 +172,6 @@ def _keep_brackets(tab, bracket, cols, alive, pairs):
     return alive
 
 
-def _idempotent_diagonal(tab, cols):
-    exid = np.ones(len(cols), dtype=bool)
-    for x in range(tab.n):
-        cx = cols[:, x]
-        exid &= tab.square[cx] == cx
-    return exid
-
-
 # --- enumeration ---
 
 def _grow_spans(tab, spans, cands):
@@ -220,11 +209,10 @@ def _support_top(tab, code):
     return int(nonzero[-1]) if nonzero.size else 0
 
 
-def _idempotent_frames(tab):
-    """The number of ordered n-tuples of independent idempotent codes: the
-    choices for the diagonal columns of a map in GL with idempotent diagonal
-    images."""
-    idem = tab.square == np.arange(tab.space)
+def _idempotent_frames(tab, idem):
+    """The number of ordered n-tuples of independent codes in the membership
+    table ``idem``: the choices for the diagonal columns of a map in GL with
+    idempotent diagonal images."""
     _, spans = _root(tab)
     count = 0
     for depth in range(tab.n):
@@ -356,6 +344,8 @@ def sweep_gl(P, F, k, want_lie=False, want_exidem=False, workers=1,
         raise ValueError(f"workers must be >= 1; got {workers}")
     tab = build_sweep_tables(P, F, budget=budget)
     pots = cached_potents(P, F, k, budget=budget)
+    if want_exidem:  # membership of the idempotents, from their own scan
+        idem = cached_potents(P, F, 2, budget=budget).lookup.astype(bool)
     t0 = time.perf_counter()
     search = _Search(P, F, tab, pots, want_lie)
     ranges = _split_ranges(1, tab.space, workers)
@@ -365,7 +355,7 @@ def sweep_gl(P, F, k, want_lie=False, want_exidem=False, workers=1,
     cols = _stack([c for c, _ in search.leaves], tab.dim)
     flags = _stack([f for _, f in search.leaves], 2).astype(bool)
     pres, lie = flags[:, 0], flags[:, 1]
-    exid = (_idempotent_diagonal(tab, cols) if want_exidem
+    exid = (idem[cols[:, :tab.n]].all(axis=1) if want_exidem
             else np.zeros(len(cols), dtype=bool))
     # one count per leaf at the index whose bits are (pres, lie, exidem)
     leaf_counts = np.bincount(pres | lie << 1 | exid << 2, minlength=8)
@@ -380,8 +370,8 @@ def sweep_gl(P, F, k, want_lie=False, want_exidem=False, workers=1,
     # for those of the |E| maps with idempotent diagonal images it missed
     unreached = n_maps - len(cols)
     if want_exidem:
-        e_unreached = (_idempotent_frames(tab) * search.completions[tab.n - 1]
-                       - int(exid.sum()))
+        e_unreached = (_idempotent_frames(tab, idem)
+                       * search.completions[tab.n - 1] - int(exid.sum()))
         flag_counts[0b100] += e_unreached
         unreached -= e_unreached
     flag_counts[0] += unreached

@@ -13,8 +13,9 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 
 from . import potents as _potents
-from .algebra import (IncElement, basis_coeffs, basis_element, convolve,
-                      convolve_coeffs, delta, power_coeffs, try_inverse)
+from .algebra import (IncElement, _delta_multiple, add_coeffs, basis_coeffs,
+                      basis_element, conjugate_coeffs, convolve_coeffs, delta,
+                      power_coeffs, scale_coeffs, sub_coeffs, try_inverse)
 from .errors import (DimensionMismatch, DisconnectedPoset, Singular,
                      StructureMismatch)
 from .field import roots_of_unity
@@ -124,11 +125,9 @@ def compose(phi, psi):
 
 
 def scale_map(phi, r):
+    """r phi; r is checked as ``IncElement.scale`` checks it."""
     F = phi.field
-    if not F.is_finite():
-        r = Fraction(r)
-    return LinMap(phi.poset, F,
-                  [[F.mul(r, v) for v in col] for col in phi.cols])
+    return LinMap(phi.poset, F, [scale_coeffs(F, r, col) for col in phi.cols])
 
 
 def _rref(rows, F):
@@ -240,15 +239,9 @@ class Subspace:
     def contains(self, f):
         if f.poset != self.poset or f.field != self.field:
             raise StructureMismatch("element from a different algebra")
-        F = self.field
-        z = F.zero
-        v = list(f.coeffs)
-        for row in self.rows:
-            c = next((j for j, a in enumerate(row) if a != z), None)
-            if c is not None and v[c] != z:
-                t = v[c]
-                v = [F.sub(a, F.mul(t, b)) for a, b in zip(v, row)]
-        return all(a == z for a in v)
+        # f is in the span exactly when appending it keeps the rank
+        _, pivots = _rref([*self.rows, f.coeffs], self.field)
+        return len(pivots) == len(self.rows)
 
     def orthogonal_complement(self):
         width = self.poset.dim
@@ -288,12 +281,9 @@ def subspace_intersection(subspaces):
 def conjugation_map(b):
     """f -> b f b^-1 as a LinMap; b must be invertible."""
     P, F = b.poset, b.field
-    binv = try_inverse(b)
-    images = []
-    for x, y in P.comparable_pairs():
-        e = basis_element(P, F, x, y)
-        images.append(convolve(convolve(b, e), binv))
-    return linmap_from_images(P, F, images)
+    binv = try_inverse(b).coeffs
+    return LinMap(P, F, [conjugate_coeffs(P, F, b.coeffs, e, binv)
+                         for e in basis_coeffs(P, F)])
 
 
 def order_induced_map(om, F):
@@ -463,33 +453,18 @@ def _keeps(phi, law, tuples, image_law=None):
     return True
 
 
-# --- laws on coefficient tuples, exact; the finite lane on the field's
-# add/neg tables, as convolve_coeffs does ---
-
-def _add(F, a, b):
-    if F.is_finite():
-        addt = F._addt
-        return tuple([addt[x][y] for x, y in zip(a, b)])
-    return tuple([x + y for x, y in zip(a, b)])
-
-
-def _sub(F, a, b):
-    if F.is_finite():
-        addt, negt = F._addt, F._negt
-        return tuple([addt[x][negt[y]] for x, y in zip(a, b)])
-    return tuple([x - y for x, y in zip(a, b)])
-
+# --- laws on coefficient tuples, exact ---
 
 def _reversed_product(P, F, a, b):
     return convolve_coeffs(P, F, b, a)
 
 
 def _jordan(P, F, a, b):
-    return _add(F, convolve_coeffs(P, F, a, b), convolve_coeffs(P, F, b, a))
+    return add_coeffs(F, convolve_coeffs(P, F, a, b), convolve_coeffs(P, F, b, a))
 
 
 def _bracket(P, F, a, b):
-    return _sub(F, convolve_coeffs(P, F, a, b), convolve_coeffs(P, F, b, a))
+    return sub_coeffs(F, convolve_coeffs(P, F, a, b), convolve_coeffs(P, F, b, a))
 
 
 def _square(P, F, a):
@@ -501,8 +476,8 @@ def _aba(P, F, a, b):
 
 
 def _abc_cba(P, F, a, b, c):
-    return _add(F, convolve_coeffs(P, F, convolve_coeffs(P, F, a, b), c),
-                convolve_coeffs(P, F, convolve_coeffs(P, F, c, b), a))
+    return add_coeffs(F, convolve_coeffs(P, F, convolve_coeffs(P, F, a, b), c),
+                      convolve_coeffs(P, F, convolve_coeffs(P, F, c, b), a))
 
 
 def preserves_jordan_products(phi):
@@ -582,13 +557,8 @@ def is_shift_map(phi):
 def _has_shift_form(phi):
     """Whether every phi(e_j) - e_j is a scalar multiple of delta."""
     P, F = phi.poset, phi.field
-    z = F.zero
-    for col, e in zip(phi.cols, basis_coeffs(P, F)):
-        diff = _sub(F, col, e)
-        if (any(c != diff[0] for c in diff[1:P.n])
-                or any(c != z for c in diff[P.n:])):
-            return False
-    return True
+    return all(_delta_multiple(P, F, sub_coeffs(F, col, e)) is not None
+               for col, e in zip(phi.cols, basis_coeffs(P, F)))
 
 
 # --- file format ---

@@ -12,9 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import (IncElement, basis_element, conjugate, convolve,
-                      convolve_coeffs, delta, diagonal_part, is_k_potent,
-                      try_inverse)
+from .algebra import (IncElement, basis_element, conjugate, conjugate_coeffs,
+                      convolve, delta, diagonal_part, is_k_potent, try_inverse)
 from .errors import (BudgetExceeded, HypothesesNotMet, InternalConsistencyError,
                      NoPrimitiveRoot, NotConjugate, NotIdempotent, NotCommuting,
                      NotKPotent, StructureMismatch, UnsupportedField)
@@ -28,9 +27,11 @@ def space_digits(P, F):
     base-q digit vector of code c."""
     q, dim = F.q, P.dim
     space = q ** dim
-    qpow = q ** np.arange(dim, dtype=np.int64)
+    dig = np.empty((space, dim), dtype=np.uint8)
     codes = np.arange(space, dtype=np.int64)
-    dig = ((codes[:, None] // qpow[None, :]) % q).astype(np.uint8)
+    for j in range(dim):  # one digit plane at a time, lowest first
+        np.remainder(codes, q, out=dig[:, j], casting="unsafe")
+        codes //= q
     return space, dig
 
 
@@ -217,8 +218,7 @@ def simultaneous_diagonalize(alphas):
         raise InternalConsistencyError("diagonalizer has non-identity diagonal", beta)
     binv = try_inverse(beta).coeffs
     for a, e in zip(alphas, eps):
-        be = convolve_coeffs(P, F, beta.coeffs, e.coeffs)
-        if convolve_coeffs(P, F, be, binv) != a.coeffs:
+        if conjugate_coeffs(P, F, beta.coeffs, e.coeffs, binv) != a.coeffs:
             raise InternalConsistencyError("diagonalizer fails to conjugate", a)
     return beta
 

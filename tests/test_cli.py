@@ -1,5 +1,6 @@
 """The command-line surface: exit codes and JSON shapes."""
 
+import hashlib
 import io
 import json
 import subprocess
@@ -79,6 +80,26 @@ def test_verify_flag_counts(capsys, poset, q, theorem, cells):
             for i in range(8)]
     assert list(out["counts"].items()) == list(zip(keys, cells))
     assert sum(cells) == out["maps_swept"]
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (("--poset", "chain:2", "--field", "7", "--theorem", "kpotent", "--k", "4",
+      "--workers", "2", "--backend", "numpy"),
+     "92040bcb6ba8e7e0105d652a638276501f7a3dece9c1d9cebde326c991813aa7"),
+    (("--poset", VEE_TEXT, "--field", "2", "--theorem", "z2",
+      "--workers", "2", "--backend", "numpy"),
+     "36b04375eca2c4b91ddc837565b32dc7f9549a09caa562617c1c8a31d47c87c6"),
+    (("--poset", "chain:2", "--field", "4", "--theorem", "char-2-big"),
+     "759c27c222c6a64fcae070cf9e579e904cb50823654ebf05ac6547dc03a9e6e8"),
+], ids=["kpotent-chain2-gf7", "z2-vee-gf2", "char-2-big-chain2-gf4"])
+def test_verify_report_bytes_are_pinned(capsys, argv, digest):
+    # sha256 of the sorted-key JSON report less its timing: counts, levels,
+    # preserver counts, samples and notes must all stay byte for byte
+    code, out = run(capsys, "verify", *argv)
+    assert code == 0
+    out.pop("elapsed_s")
+    text = json.dumps(out, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_verify_default_workers_is_one(capsys):

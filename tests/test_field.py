@@ -5,6 +5,7 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
+from incalg import field
 from incalg.errors import (DivisionByZero, NoPrimitiveRoot, NotFound,
                            UnsupportedField)
 from incalg.field import (GF, QQ, field_from_flag, multiplicative_order,
@@ -193,6 +194,15 @@ def test_unsupported_field_sizes():
         GF(6)
     with pytest.raises(UnsupportedField):
         GF(1)
+
+
+def test_reducible_modulus_is_refused(monkeypatch):
+    # (t + 1)^2 over GF(2): the quotient ring has t + 1 as a zero divisor, so
+    # its product table has a nonzero row without a 1. GF is memoized, so the
+    # spec is built directly
+    monkeypatch.setitem(field._MODULI, 4, (1, 0, 1))
+    with pytest.raises(UnsupportedField, match="reducible"):
+        field.FieldSpec("finite", 4)
 
 
 @pytest.mark.parametrize("q", SMALL_Q)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from incalg import linmaps, potents
-from incalg.algebra import (IncElement, basis_element, convolve, from_triples,
+from incalg.algebra import (IncElement, basis_element, from_triples,
                             is_k_potent, lie_bracket)
 from incalg.classify import classify_preserver, regime_of
 from incalg.errors import BudgetExceeded, UnsupportedRegime
@@ -24,7 +24,8 @@ from incalg.harness.kernels import (build_sweep_tables, codes_of_linmap,
                                     image_codes, linmap_from_codes, sweep_gl)
 from incalg.harness.verify import THEOREMS, verify_theorem
 from incalg.linmaps import (LinMap, apply_map, compose, conjugation_map,
-                            identity_map, is_bijective, is_k_potent_preserver,
+                            has_idempotent_diagonal_images, identity_map,
+                            is_bijective, is_k_potent_preserver,
                             is_lie_homomorphism, multiplicative_map,
                             order_induced_map, preserves_jordan_products,
                             scale_map)
@@ -180,6 +181,24 @@ def test_sweep_char2_big_has_no_mismatches():
     res = sweep_gl(chain(2), GF(4), 2, want_lie=True, want_exidem=True)
     assert res.mismatches.shape == (0, 3)
     assert len(res.preservers) == 24 and len(res.lie_maps) == 144
+
+
+@pytest.mark.parametrize("q,cells", [
+    (2, [88, 0, 0, 0, 72, 4, 0, 4]),
+    (3, [10_446, 0, 30, 0, 744, 6, 0, 6]),
+])
+def test_flag_histogram_matches_python_oracle(q, cells):
+    # every cell of the histogram, the closed-form count of the maps the
+    # search never reaches included, against the three pure-Python
+    # predicates on every map of GL
+    P, F = chain(2), GF(q)
+    tally = [0] * 8
+    for m in enumerate_gl(P, F):
+        tally[bool(is_k_potent_preserver(m, 2))
+              | is_lie_homomorphism(m) << 1
+              | has_idempotent_diagonal_images(m) << 2] += 1
+    res = sweep_gl(P, F, 2, want_lie=True, want_exidem=True)
+    assert tally == res.flag_counts.tolist() == cells
 
 
 def _map_keys(tab, cols):
@@ -412,7 +431,6 @@ def test_tables_cache_and_contents():
                                       for x, y in P.comparable_pairs()]
         bracket = kernels.bracket_table(P, F, tab)
         for c, f in enumerate(els):
-            assert tab.square[c] == code[convolve(f, f)]
             assert tab.vec_smul[:, c].tolist() == [code[f.scale(r)]
                                                    for r in range(q)]
             assert tab.vec_add[c].tolist() == [code[f + g] for g in els]

@@ -167,6 +167,20 @@ def test_scale_map_and_potency_interaction():
     assert not is_k_potent_preserver(scale_map(ident, 3), 4)
 
 
+@pytest.mark.parametrize("q,r", [(4, -1), (5, 7), ("Q", 0.5)],
+                         ids=["gf4-minus-one", "gf5-out-of-range", "q-float"])
+def test_scale_map_checks_its_scalar_as_scale_does(q, r):
+    # scale_map and IncElement.scale share one scalar check: a value that is
+    # not a raw field value is refused, never reduced, wrapped or rounded
+    # (-1 in GF(4) is 1, not the code 3)
+    F = QQ() if q == "Q" else GF(q)
+    ident = identity_map(chain(2), F)
+    with pytest.raises(StructureMismatch):
+        delta(chain(2), F).scale(r)
+    with pytest.raises(StructureMismatch):
+        scale_map(ident, r)
+
+
 def _is_onto(phi):
     """Whether phi hits every element: by enumeration, no elimination."""
     P, F = phi.poset, phi.field
