@@ -9,12 +9,14 @@ ascending). Flags per map:
   exidem     the image of every diagonal basis element is idempotent
 
 ``sweep_gl`` is a level-pruned backtracking search, vectorized with numpy. A
-node at depth l is a prefix of l + 1 independent columns with a mask of their
-span; its children append every code outside that span. phi(t) depends only
-on the columns in supp(t), so at depth l a node is tested only against the
-potents whose highest support index is l and the Lie pairs that become
-decidable there. A node carries two alive flags, pres and (when asked for)
-lie. A node with both dead is dropped, and its prod_{i>l}(q^dim - q^i)
+node at depth l is a prefix of l + 1 independent columns and two alive flags,
+pres and (when asked for) lie. Codes are little-endian base q, so the codes
+below q^w are the vectors supported on the first w basis elements: a width-w
+prefix spans their images, and its children append every code outside that
+span. phi(t) depends only on the columns in supp(t), so a code t is decided at
+the depth l with q^l <= t < q^(l+1) (0 at depth 0): a node there is tested
+only against those potents and the Lie pairs whose brackets are decided
+there. A node with both flags dead is dropped, and its prod_{i>l}(q^dim - q^i)
 completions are counted in closed form; the nodes that reach the last depth
 are the preservers and the Lie maps. The frontier is expanded depth first in
 chunks of nodes, which keeps the lexicographic order and bounds the working
@@ -134,15 +136,15 @@ def linmap_from_codes(P, F, codes):
 # --- flags ---
 
 def image_codes(tab, t, cols, rows=Ellipsis):
-    """Code of phi(t) for every map phi in ``cols[rows]``. ``cols`` is a
-    (maps, width) array of column codes, or the column codes of one map; a
-    prefix of width w serves every ``t`` supported on the first w basis
-    elements. ``t`` is one code, or an array of codes that broadcasts against
-    the selected maps."""
+    """Code of phi(t) for every map phi in ``cols[rows]``. ``cols`` holds
+    column codes along its last axis: one map, or a stack of prefixes. A
+    prefix of width w serves every ``t`` below q^w, the codes supported on
+    the first w basis elements. ``t`` is one code, or an array of codes that
+    broadcasts against the selected maps."""
     cols = np.asarray(cols)
     digits = tab.dig[t]
     w = tab.vec_smul[digits[..., 0], cols[rows, 0]]
-    for j in range(1, tab.dim):
+    for j in range(1, cols.shape[-1]):
         dj = digits[..., j]
         if dj.ndim == 0 and dj == 0:
             continue  # a zero coordinate adds nothing
@@ -156,7 +158,7 @@ def _keep_potents(tab, lookup, cols, alive, codes):
     for t in codes:
         if alive.size == 0:
             break
-        alive = alive[lookup[image_codes(tab, t, cols, alive)] != 0]
+        alive = alive[lookup[image_codes(tab, t, cols, alive)]]
     return alive
 
 
@@ -174,24 +176,21 @@ def _keep_brackets(tab, bracket, cols, alive, pairs):
 
 # --- enumeration ---
 
-def _grow_spans(tab, spans, cands):
-    """Span masks after appending column ``cands[r]`` to row r."""
-    arange_sp = np.arange(tab.space, dtype=np.int64)
-    grown = spans.copy()
-    # x is in the grown span iff x + c v is in the old one for some c in F
-    for cc in range(1, tab.q):
-        shift = tab.vec_smul[cc, cands]
-        idx = tab.vec_add[shift[:, None], arange_sp[None, :]]
-        grown |= np.take_along_axis(spans, idx, axis=1)
-    return grown
+def _spans(tab, prefixes):
+    """(rows, space) bool masks of the spans of the rows of ``prefixes``, a
+    (rows, w) array of column codes: the images of the codes below q^w."""
+    rows, width = prefixes.shape
+    images = (image_codes(tab, np.arange(tab.q ** width), prefixes[:, None])
+              if width else np.zeros((rows, 1), dtype=np.int64))  # span {0}
+    spans = np.zeros((rows, tab.space), dtype=bool)
+    spans[np.arange(rows)[:, None], images] = True
+    return spans
 
 
-def _root(tab):
-    """The frontier before any column is chosen: one empty prefix whose span
-    is {0}."""
-    spans = np.zeros((1, tab.space), dtype=bool)
-    spans[0, 0] = True
-    return np.zeros((1, 0), dtype=np.int64), spans
+def _depths(tab, codes):
+    """The depth at which each code is decided: l with q^l <= t < q^(l+1),
+    and 0 for t = 0."""
+    return np.maximum(np.searchsorted(tab.basis, codes, side="right") - 1, 0)
 
 
 def _completions(tab):
@@ -203,24 +202,15 @@ def _completions(tab):
     return out
 
 
-def _support_top(tab, code):
-    """Highest basis index in the support of ``code`` (0 for the zero code)."""
-    nonzero = np.flatnonzero(tab.dig[code])
-    return int(nonzero[-1]) if nonzero.size else 0
-
-
 def _idempotent_frames(tab, idem):
     """The number of ordered n-tuples of independent codes in the membership
     table ``idem``: the choices for the diagonal columns of a map in GL with
     idempotent diagonal images."""
-    _, spans = _root(tab)
-    count = 0
-    for depth in range(tab.n):
-        rows, cands = np.nonzero(~spans & idem)
-        count = len(rows)
-        if depth < tab.n - 1:
-            spans = _grow_spans(tab, spans[rows], cands)
-    return count
+    frames = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(tab.n):
+        rows, cands = np.nonzero(~_spans(tab, frames) & idem)
+        frames = np.concatenate([frames[rows], cands[:, None]], axis=1)
+    return len(frames)
 
 
 _LEVEL_KEYS = ("visited", "pruned", "passed", "covered")
@@ -235,15 +225,14 @@ class _Search:
         self.tab = tab
         self.want_lie = want_lie
         self.lookup = pots.lookup
-        self.pots = [[] for _ in range(tab.dim)]
-        for t in pots.codes:
-            self.pots[_support_top(tab, t)].append(int(t))
+        depth = _depths(tab, pots.codes)  # ascending codes keep their order
+        self.pots = [pots.codes[depth == l] for l in range(tab.dim)]
         self.pairs = [[] for _ in range(tab.dim)]
         self.bracket = bracket_table(P, F, tab) if want_lie else None
         if want_lie:
             for a, b in itertools.combinations(range(tab.dim), 2):
                 code = self.bracket[tab.basis[a], tab.basis[b]]
-                self.pairs[max(b, _support_top(tab, code))].append((a, b))
+                self.pairs[max(b, int(_depths(tab, code)))].append((a, b))
         self.completions = _completions(tab)
         self.chunk = max(1, _CHUNK_CELLS // tab.space)
         self.levels = [dict.fromkeys(_LEVEL_KEYS, 0) for _ in range(tab.dim)]
@@ -253,16 +242,15 @@ class _Search:
         """Search the maps whose first column code lies in [lo, hi)."""
         first = np.zeros((1, self.tab.space), dtype=bool)
         first[0, lo:hi] = True
-        prefixes, spans = _root(self.tab)
-        self._expand(0, prefixes, spans, np.array([[True, self.want_lie]]),
-                     first)
+        self._expand(0, np.zeros((1, 0), dtype=np.int64),
+                     np.array([[True, self.want_lie]]), first)
 
-    def _expand(self, depth, prefixes, spans, alive, allowed=True):
-        """Append every ``allowed`` code outside ``spans[r]`` to prefix r,
+    def _expand(self, depth, prefixes, alive, allowed=True):
+        """Append every ``allowed`` code outside the span of prefix r to it,
         test the constraints decided at ``depth``, drop the nodes with no
         alive flag, and descend into the rest chunk by chunk."""
         tab = self.tab
-        rows, cands = np.nonzero(~spans & allowed)
+        rows, cands = np.nonzero(~_spans(tab, prefixes) & allowed)
         cols = np.concatenate([prefixes[rows], cands[:, None]], axis=1)
         alive = alive[rows]  # a child starts with its parent's flags
         pres = _keep_potents(tab, self.lookup, cols,
@@ -283,8 +271,7 @@ class _Search:
             return
         for c0 in range(0, len(keep), self.chunk):
             part = keep[c0:c0 + self.chunk]
-            grown = _grow_spans(tab, spans[rows[part]], cands[part])
-            self._expand(depth + 1, cols[part], grown, flags[part])
+            self._expand(depth + 1, cols[part], flags[part])
 
 
 # --- drivers ---
@@ -345,7 +332,7 @@ def sweep_gl(P, F, k, want_lie=False, want_exidem=False, workers=1,
     tab = build_sweep_tables(P, F, budget=budget)
     pots = cached_potents(P, F, k, budget=budget)
     if want_exidem:  # membership of the idempotents, from their own scan
-        idem = cached_potents(P, F, 2, budget=budget).lookup.astype(bool)
+        idem = cached_potents(P, F, 2, budget=budget).lookup
     t0 = time.perf_counter()
     search = _Search(P, F, tab, pots, want_lie)
     ranges = _split_ranges(1, tab.space, workers)

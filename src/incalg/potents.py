@@ -63,7 +63,7 @@ def potent_code_tables(P, F, k, budget=DEFAULT_BUDGET):
     """(codes, digits, lookup) for all k-potents, in code order.
 
     codes: int64 codes of the k-potents; digits: their (npot, dim) digit
-    rows; lookup: uint8 membership table over the whole space.
+    rows; lookup: bool membership table over the whole space.
     """
     _check_scan(P, F, k, budget)
     _, dig = space_digits(P, F)
@@ -72,13 +72,13 @@ def potent_code_tables(P, F, k, budget=DEFAULT_BUDGET):
         fk = batch_convolve(fk, dig, P, F)
     mask = (fk == dig).all(axis=1)
     codes = np.flatnonzero(mask).astype(np.int64)
-    return codes, dig[codes].copy(), mask.astype(np.uint8)
+    return codes, dig[codes].copy(), mask
 
 
 @dataclass(frozen=True)
 class PotentTables:
     codes: np.ndarray   # (npot,) int64, k-potents in code order
-    lookup: np.ndarray  # (space,) uint8 membership
+    lookup: np.ndarray  # (space,) bool membership
     elements: tuple     # the k-potents as IncElements, in code order
 
 

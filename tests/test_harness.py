@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from incalg import linmaps, potents
-from incalg.algebra import (IncElement, basis_element, from_triples,
-                            is_k_potent, lie_bracket)
+from incalg.algebra import (IncElement, add_coeffs, basis_element,
+                            from_triples, is_k_potent, lie_bracket,
+                            scale_coeffs)
 from incalg.classify import classify_preserver, regime_of
 from incalg.errors import BudgetExceeded, UnsupportedRegime
 from incalg.field import GF, QQ
@@ -201,6 +202,62 @@ def test_flag_histogram_matches_python_oracle(q, cells):
     assert tally == res.flag_counts.tolist() == cells
 
 
+@pytest.mark.parametrize("P,q,frames", [
+    (vee(), 2, 3_936), (chain(3), 2, 13_536), (vee(), 3, 26_550),
+    (chain(2), 4, 72),
+], ids=["vee-gf2", "chain3-gf2", "vee-gf3", "chain2-gf4"])
+def test_idempotent_frames_match_brute_force(P, q, frames):
+    # the closed-form exidem count rests on this: ordered n-tuples of
+    # idempotents with full rank, counted one tuple at a time
+    F = GF(q)
+    idem = potents.cached_potents(P, F, 2)
+    brute = sum(len(linmaps._rref([e.coeffs for e in frame], F)[1]) == P.n
+                for frame in itertools.permutations(idem.elements, P.n))
+    tab = build_sweep_tables(P, F)
+    assert brute == kernels._idempotent_frames(tab, idem.lookup) == frames
+
+
+def test_image_codes_reads_only_the_prefix_width():
+    # a prefix of width w < dim serves every code below q^w
+    tab = build_sweep_tables(chain(2), GF(3))
+    assert image_codes(tab, np.arange(3), np.array([[4]])).tolist() == [0, 4, 8]
+    prefixes = np.array([[4, 1], [2, 15], [9, 22]])
+    dig = tab.dig.astype(np.int64)
+    want = [[int((dig[t, :2] @ dig[p] % 3) @ tab.basis) for t in range(9)]
+            for p in prefixes]
+    assert image_codes(tab, np.arange(9), prefixes[:, None]).tolist() == want
+
+
+def _brute_span(P, F, cols):
+    """Codes of every F-combination of the digit columns ``cols``."""
+    span = set()
+    for coeffs in itertools.product(range(F.q), repeat=len(cols)):
+        v = (0,) * P.dim
+        for c, col in zip(coeffs, cols):
+            v = add_coeffs(F, v, scale_coeffs(F, c, col))
+        span.add(sum(x * F.q ** j for j, x in enumerate(v)))
+    return sorted(span)
+
+
+@pytest.mark.parametrize("P,q", [(chain(2), 3), (vee(), 2), (chain(2), 4)],
+                         ids=["chain2-gf3", "vee-gf2", "chain2-gf4"])
+def test_span_masks_match_brute_force(P, q):
+    # random independent prefixes of every width, the empty one included
+    F, rng = GF(q), random.Random(17)
+    tab = build_sweep_tables(P, F)
+    for width in range(P.dim + 1):
+        prefixes = []
+        while len(prefixes) < 4:
+            prefix = [rng.randrange(1, tab.space) for _ in range(width)]
+            if not prefix or len(linmaps._rref(
+                    tab.dig[prefix].tolist(), F)[1]) == width:
+                prefixes.append(prefix)
+        prefixes = np.array(prefixes, dtype=np.int64).reshape(4, width)
+        for prefix, mask in zip(prefixes, kernels._spans(tab, prefixes)):
+            cols = tab.dig[prefix].tolist()
+            assert np.flatnonzero(mask).tolist() == _brute_span(P, F, cols)
+
+
 def _map_keys(tab, cols):
     """One integer per map: its column codes read in base ``space``."""
     return (np.asarray(cols) * tab.space ** np.arange(tab.dim)).sum(axis=-1)
@@ -261,7 +318,16 @@ def test_sweep_refuses_fewer_than_one_worker(workers):
     # q odd: the span growth must not depend on which sign it shifts by
     (chain(2), 3, 2, True,
      [(26, 0, 26, 0), (624, 432, 192, 7776), (3456, 3414, 42, 3456)]),
-], ids=["chain2-gf7-k4", "vee-gf2-lie", "chain2-gf3-lie"])
+    (chain(3), 2, 2, True,
+     [(63, 0, 63, 0), (3906, 3168, 738, 16349921280),
+      (44280, 40416, 3864, 3476422656), (216384, 213600, 2784, 328089600),
+      (133632, 133120, 512, 4259840), (16384, 15872, 512, 16384)]),
+    (vee(), 3, 2, False,
+     [(242, 211, 31, 414646801920), (7440, 7356, 84, 60231869568),
+      (19656, 19602, 54, 685913184), (11664, 11592, 72, 1877904),
+      (11664, 11592, 72, 11664)]),
+], ids=["chain2-gf7-k4", "vee-gf2-lie", "chain2-gf3-lie", "chain3-gf2-lie",
+        "vee-gf3-k2"])
 def test_search_levels_are_pinned(P, q, k, want_lie, levels):
     res = sweep_gl(P, GF(q), k, want_lie=want_lie)
     assert [tuple(lv[key] for key in ("visited", "pruned", "passed", "covered"))
