@@ -13,10 +13,10 @@ Three pipelines, chosen by (k, field):
   times a Jordan automorphism, which then goes through jordan_decompose.
 
 The pipelines work on raw coefficient tuples through the *_coeffs helpers
-of algebra.
-classify_preserver checks bijectivity once, by one elimination, and hands
-the map to private cores (_jordan_factor, _z2_factor, _scalar_split); the
-public functions keep all their checks when called directly.
+of algebra. Each pipeline has one entry point, which checks its own inputs;
+classify_preserver runs its guards first and then calls the pipeline of its
+regime. linmaps.is_bijective keeps its answer on the map, so a map is
+eliminated once however many of these checks ask.
 
 Every pipeline recomposes its factors and compares against the input map
 exactly; a mismatch raises, never returns. jordan_decompose recomposes per
@@ -45,7 +45,7 @@ from .errors import (DisconnectedPoset, DownstreamJordanFailure,
                      ThetaNotBijective, ThetaNotSingleBasisVector,
                      UnsupportedRegime)
 from .field import primitive_root_of_unity
-from .linmaps import (LinMap, _apply_vec, _has_shift_form, _is_algebra_hom,
+from .linmaps import (LinMap, _apply_vec, _has_shift_form, _is_algebra_iso,
                       apply_map, compose, conjugation_map, format_linmap,
                       has_idempotent_diagonal_images, identity_map,
                       is_bijective, is_jordan_homomorphism, is_k_potent_preserver,
@@ -94,18 +94,13 @@ class ScalarSplit:
 
 
 def jordan_decompose(phi):
-    """Factor a bijective Jordan homomorphism of a connected algebra."""
-    if not is_connected(phi.poset):
+    """Factor a bijective Jordan homomorphism of a connected algebra,
+    column by column on coefficient tuples."""
+    P, F = phi.poset, phi.field
+    if not is_connected(P):
         raise DisconnectedPoset("factorization needs a connected poset")
     if not is_bijective(phi):
         raise NotJordanAutomorphism("map is not bijective")
-    return _jordan_factor(phi)
-
-
-def _jordan_factor(phi):
-    """jordan_decompose for a map known to be bijective, on a connected
-    poset; works column by column on coefficient tuples."""
-    P, F = phi.poset, phi.field
     if not is_jordan_homomorphism(phi):
         raise NotJordanAutomorphism("map is not a Jordan homomorphism")
 
@@ -137,10 +132,7 @@ def _jordan_factor(phi):
         order_map = OrderMap(P, lam, kind)
     except ValueError as e:
         raise LambdaNotOrderMap(str(e), detail=lam) from e
-    # lam_hat[k]: the basis index of the image of e_k under the induced
-    # map, e_(x,y) -> e_(lam x, lam y), the pair flipped for the anti kind
-    lam_hat = [P.pair_pos[(lam[j], lam[i]) if kind == OrderMap.ANTI
-                          else (lam[i], lam[j])] for i, j in P.pairs]
+    lam_hat = order_map.basis_perm()
 
     # potents.simultaneous_diagonalize specialized to orthogonal idempotents
     # with diagonals e_lam(i): beta = sum_i phi(e_i) e_lam(i). Multiplying by
@@ -214,13 +206,6 @@ def z2_decompose(phi, budget=DEFAULT_BUDGET):
         raise DisconnectedPoset("factorization needs a connected poset")
     if not is_bijective(phi):
         raise HypothesesNotMet("factorization covers bijective maps only")
-    return _z2_factor(phi, budget)
-
-
-def _z2_factor(phi, budget):
-    """z2_decompose for a map known to be bijective, over GF(2) on a
-    connected poset; works on coefficient tuples."""
-    P, F = phi.poset, phi.field
     _require_idempotent_preserver(phi, "exhaustive", budget)
 
     z = F.zero
@@ -298,17 +283,11 @@ def scalar_split(phi, k, mode="exhaustive", budget=DEFAULT_BUDGET):
     """Split a k-potent preserver (k >= 3) as r * (auto or anti-auto)."""
     if k < 3:
         raise ValueError("scalar_split applies to k >= 3")
-    if not is_connected(phi.poset):
+    P, F = phi.poset, phi.field
+    if not is_connected(P):
         raise DisconnectedPoset("factorization needs a connected poset")
     if not is_bijective(phi):
         raise HypothesesNotMet("factorization covers bijective maps only")
-    return _scalar_split(phi, k, mode, budget)
-
-
-def _scalar_split(phi, k, mode, budget):
-    """scalar_split for a map known to be bijective, on a connected poset;
-    the normalized map, a nonzero multiple of phi, is then bijective too."""
-    P, F = phi.poset, phi.field
     check = is_k_potent_preserver(phi, k, mode=mode, budget=budget)
     if not check:
         raise HypothesesNotMet(
@@ -323,18 +302,18 @@ def _scalar_split(phi, k, mode, budget):
         raise RootConditionFailed(
             f"scalar {F.format(r)} is not a ({k - 1})-th root of unity")
 
+    # psi, a nonzero multiple of phi, inherits phi's known bijectivity
     psi = scale_map(phi, F.pow_(r, k - 2))
     if apply_map(psi, delta(P, F)) != delta(P, F):
         raise InternalConsistencyError("normalized map does not fix delta", psi)
     try:
-        fact = _jordan_factor(psi)
+        fact = jordan_decompose(psi)
     except NotJordanAutomorphism as e:
         raise DownstreamJordanFailure(
             f"normalized map is not a Jordan automorphism: {e}") from e
 
-    # psi is bijective, so the direct predicate needs no second elimination
     kind = fact.order_map.kind
-    if not _is_algebra_hom(psi, anti=kind == OrderMap.ANTI):
+    if not _is_algebra_iso(psi, anti=kind == OrderMap.ANTI):
         raise InternalConsistencyError(
             "factor kind disagrees with the direct predicate", kind)
     if scale_map(psi, r) != phi:
@@ -389,7 +368,7 @@ def _jordan_factors(fact):
 # --- one certify function per regime: (certificates, factors, notes) ---
 
 def _certify_z2(phi, k, mode, budget):
-    fact = _z2_factor(phi, budget)
+    fact = z2_decompose(phi, budget)
     return ({"bijective": True, "idempotent_preserver": mode,
              "shift_is_shift_map": True, "lie_part_is_lie_automorphism": True},
             {"shift": _linmap_jsonable(fact.shift),
@@ -415,14 +394,14 @@ def _certify_char_2_big(phi, k, mode, budget):
 
 def _certify_char_ne_2(phi, k, mode, budget):
     _require_idempotent_preserver(phi, mode, budget)
-    fact = _jordan_factor(phi)
+    fact = jordan_decompose(phi)
     return ({"bijective": True, "idempotent_preserver": mode,
              "jordan_homomorphism": True, "kind": fact.order_map.kind},
             _jordan_factors(fact), [])
 
 
 def _certify_scalar_split(phi, k, mode, budget):
-    split = _scalar_split(phi, k, mode, budget)
+    split = scalar_split(phi, k, mode, budget)
     r = phi.field.format(split.r)
     return ({"bijective": True, "potent_preserver": mode, "r": r,
              "r_power_check": f"r^{k - 1} = 1", "psi_kind": split.psi_kind},

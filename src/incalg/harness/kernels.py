@@ -36,7 +36,8 @@ import numpy as np
 
 from ..errors import BudgetExceeded, InternalConsistencyError, UnsupportedField
 from ..linmaps import LinMap
-from ..potents import DEFAULT_BUDGET, batch_convolve, cached_potents, space_digits
+from ..potents import (DEFAULT_BUDGET, batch_convolve, cached_potents,
+                       check_space_budget, space_digits)
 from .gl import gl_order
 
 SWEEP_SPACE_CAP = 4096  # vec_add is space^2 entries; sweeps stay desk-scale
@@ -74,12 +75,8 @@ def build_sweep_tables(P, F, budget=DEFAULT_BUDGET):
     if not F.is_finite():
         raise UnsupportedField("sweeps need a finite field")
     q, dim = F.q, P.dim
-    space = q ** dim
     # refuse before the cache lookup: the cache key has no budget in it
-    if space > budget:
-        raise BudgetExceeded(
-            f"coefficient space has {space} elements, budget is {budget}",
-            required=space)
+    space = check_space_budget(P, F, budget)
     if space > SWEEP_SPACE_CAP:
         raise BudgetExceeded(
             f"coefficient space {space} exceeds the sweep cap {SWEEP_SPACE_CAP}",

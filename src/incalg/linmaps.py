@@ -19,11 +19,11 @@ from .algebra import (IncElement, _delta_multiple, add_coeffs, basis_coeffs,
 from .errors import (DimensionMismatch, DisconnectedPoset, Singular,
                      StructureMismatch)
 from .field import roots_of_unity
-from .poset import OrderMap, is_connected
+from .poset import is_connected
 
 
 class LinMap:
-    __slots__ = ("poset", "field", "cols", "_hash")
+    __slots__ = ("poset", "field", "cols", "_hash", "_bijective")
 
     def __init__(self, poset, field, cols):
         cols = tuple(tuple(c) for c in cols)
@@ -34,6 +34,7 @@ class LinMap:
         self.field = field
         self.cols = cols
         self._hash = None
+        self._bijective = None  # filled by is_bijective
 
     def image(self, j):
         """Image of the j-th basis element."""
@@ -125,9 +126,13 @@ def compose(phi, psi):
 
 
 def scale_map(phi, r):
-    """r phi; r is checked as ``IncElement.scale`` checks it."""
+    """r phi; r is checked as ``IncElement.scale`` checks it. A nonzero
+    multiple keeps the rank, so it inherits phi's known bijectivity."""
     F = phi.field
-    return LinMap(phi.poset, F, [scale_coeffs(F, r, col) for col in phi.cols])
+    out = LinMap(phi.poset, F, [scale_coeffs(F, r, col) for col in phi.cols])
+    if r != F.zero:
+        out._bijective = phi._bijective
+    return out
 
 
 def _rref(rows, F):
@@ -205,10 +210,12 @@ def try_invert(phi):
 
 
 def is_bijective(phi):
-    """Whether phi has full rank: one elimination of its matrix."""
-    d = phi.poset.dim
-    _, pivots = _rref(phi.matrix, phi.field)
-    return len(pivots) == d
+    """Whether phi has full rank: one elimination of its matrix, on the
+    first call only; the answer is kept on the map."""
+    if phi._bijective is None:
+        _, pivots = _rref(phi.matrix, phi.field)
+        phi._bijective = len(pivots) == phi.poset.dim
+    return phi._bijective
 
 
 class Subspace:
@@ -290,13 +297,8 @@ def order_induced_map(om, F):
     """The algebra (anti-)automorphism induced by an order map:
     e_(x,y) -> e_(om x, om y), with the pair flipped for the anti kind."""
     P = om.poset
-    images = []
-    for x, y in P.comparable_pairs():
-        u, v = om(x), om(y)
-        if om.kind == OrderMap.ANTI:
-            u, v = v, u
-        images.append(basis_element(P, F, u, v))
-    return linmap_from_images(P, F, images)
+    es = basis_coeffs(P, F)
+    return LinMap(P, F, [es[m] for m in om.basis_perm()])
 
 
 def is_multiplicative_coeffs(sigma):
@@ -522,13 +524,8 @@ def has_idempotent_diagonal_images(phi):
 def _is_algebra_iso(phi, anti):
     """Bijective, fixes delta and sends e_a e_b to phi(e_a) phi(e_b), or to
     phi(e_b) phi(e_a) when anti."""
-    return is_bijective(phi) and _is_algebra_hom(phi, anti)
-
-
-def _is_algebra_hom(phi, anti):
-    """_is_algebra_iso less the bijectivity, for maps known bijective."""
     P, F = phi.poset, phi.field
-    if apply_map(phi, delta(P, F)) != delta(P, F):
+    if not is_bijective(phi) or apply_map(phi, delta(P, F)) != delta(P, F):
         return False
     return _keeps(phi, convolve_coeffs, product(range(P.dim), repeat=2),
                   _reversed_product if anti else convolve_coeffs)

@@ -244,6 +244,15 @@ class OrderMap:
     def mapping(self):
         return {x: self(x) for x in self.poset.labels}
 
+    def basis_perm(self):
+        """The permutation of basis indices the map induces: entry k is the
+        index of (perm x, perm y) for the k-th pair (x, y), the pair flipped
+        for the anti kind."""
+        P, p = self.poset, self.perm
+        if self.kind == self.ANTI:
+            return tuple(P.pair_pos[(p[j], p[i])] for i, j in P.pairs)
+        return tuple(P.pair_pos[(p[i], p[j])] for i, j in P.pairs)
+
     def compose(self, other):
         """self after other."""
         if self.poset != other.poset:

@@ -47,16 +47,23 @@ def batch_convolve(A, B, P, F):
     return out
 
 
-def _check_scan(P, F, k, budget):
-    if not F.is_finite():
-        raise UnsupportedField("exhaustive potent scan needs a finite field")
-    if k < 2:
-        raise ValueError("k must be >= 2")
+def check_space_budget(P, F, budget):
+    """q^dim, the size of the coefficient space of I(P, F) over a finite
+    field, or BudgetExceeded when it exceeds the budget."""
     space = F.q ** P.dim
     if space > budget:
         raise BudgetExceeded(
             f"coefficient space has {space} elements, budget is {budget}",
             required=space)
+    return space
+
+
+def _check_scan(P, F, k, budget):
+    if not F.is_finite():
+        raise UnsupportedField("exhaustive potent scan needs a finite field")
+    if k < 2:
+        raise ValueError("k must be >= 2")
+    check_space_budget(P, F, budget)
 
 
 def potent_code_tables(P, F, k, budget=DEFAULT_BUDGET):

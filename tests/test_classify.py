@@ -10,7 +10,7 @@ import incalg.linmaps as linmaps
 from incalg.algebra import basis_element, delta, from_triples, try_inverse
 from incalg.classify import (classify_preserver, jordan_decompose,
                              scalar_split, z2_decompose)
-from incalg.errors import (DisconnectedPoset, HypothesesNotMet,
+from incalg.errors import (DisconnectedPoset, HypothesesNotMet, IncalgError,
                            NotIdempotentPreserver, NotJordanAutomorphism,
                            RecompositionMismatch, UnsupportedRegime)
 from incalg.field import GF, QQ
@@ -313,6 +313,133 @@ def test_classify_runs_one_elimination_per_map(monkeypatch):
         calls.clear()
         assert classify_preserver(phi, k).regime == regime
         assert len(calls) == 1, regime
+
+
+def test_classify_reaches_each_pipeline_through_its_public_name(monkeypatch):
+    # one call of the regime's pipeline per map, and still one elimination
+    calls = []
+    rref = linmaps._rref
+
+    def counting_rref(rows, F):
+        calls.append("_rref")
+        return rref(rows, F)
+
+    monkeypatch.setattr(linmaps, "_rref", counting_rref)
+    for name in ("jordan_decompose", "z2_decompose", "scalar_split"):
+        def make(fn, name=name):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+        monkeypatch.setattr(classify, name, make(getattr(classify, name)))
+    V = vee()
+    split = ["_rref", "scalar_split", "jordan_decompose"]
+    cases = [(swept_preservers(V, GF(2), 2)[5], 2, ["_rref", "z2_decompose"]),
+             (list(jordan_like_maps(V, GF(5)).values())[77], 2,
+              ["_rref", "jordan_decompose"]),
+             (swept_preservers(chain(2), GF(4), 2)[3], 2, ["_rref"]),
+             (scale_map(list(jordan_like_maps(V, GF(5)).values())[123], 4), 3,
+              split),
+             (swept_preservers(chain(2), GF(7), 4)[100], 4, split),
+             (conjugation_map(from_triples(chain(2), QQ(),
+                                           [(1, 1, 1), (2, 2, 3), (1, 2, 1)])),
+              2, ["_rref", "jordan_decompose"])]
+    for phi, k, want in cases:
+        calls.clear()
+        classify_preserver(phi, k)
+        assert calls == want, k
+
+
+def _refusal_cases():
+    c2, V = chain(2), vee()
+    return [
+        ("singular-c2-gf3",
+         LinMap(c2, GF(3), [[1, 0, 0], [1, 0, 0], [0, 0, 1]]), 2),
+        ("zero-vee-gf5", LinMap(V, GF(5), [[0] * 5] * 5), 3),
+        ("singular-c2-q", LinMap(c2, QQ(), [[1, 0, 0], [0, 1, 0], [2, 2, 0]]), 2),
+        ("singular-c2-gf2",
+         LinMap(c2, GF(2), [[1, 1, 0], [1, 1, 0], [0, 0, 1]]), 2),
+        ("nonpres-c2-gf3",
+         LinMap(c2, GF(3), [[1, 0, 0], [0, 1, 0], [1, 0, 1]]), 2),
+        ("nonpres-c2-gf2",
+         LinMap(c2, GF(2), [[1, 0, 0], [0, 1, 0], [1, 0, 1]]), 2),
+        ("nonpres-vee-gf5",
+         LinMap(V, GF(5), [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0],
+                           [1, 0, 0, 1, 0], [0, 0, 0, 0, 1]]), 3),
+        ("nonroot-c2-gf7", scale_map(identity_map(c2, GF(7)), 3), 4),
+        ("antichain-gf2", identity_map(antichain(2), GF(2)), 2),
+        ("antichain-gf3", identity_map(antichain(2), GF(3)), 3),
+        ("gf3-k3", identity_map(c2, GF(3)), 3),
+        ("gf4-z2", identity_map(c2, GF(4)), 2),
+        ("gf5-z2", identity_map(c2, GF(5)), 2),
+    ]
+
+
+_NOT_BIJ = [("HypothesesNotMet", "classification covers bijective maps only"),
+            ("NotJordanAutomorphism", "map is not bijective")]
+_NOT_GF2 = ("UnsupportedRegime", "shift/Lie factorization is specific to GF(2)")
+_K2 = ("ValueError", "scalar_split applies to k >= 3")
+_CONN = ("DisconnectedPoset", "factorization needs a connected poset")
+_NOT_JORDAN = ("NotJordanAutomorphism", "map is not a Jordan homomorphism")
+_CHAR3 = ("UnsupportedRegime", "k = 3 is divisible by the characteristic 3")
+
+# (exception name, message), or None when the call returns, for
+# classify_preserver(phi, k), jordan_decompose(phi), z2_decompose(phi) and
+# scalar_split(phi, k), in that order
+PINNED_REFUSALS = {
+    "singular-c2-gf3": [*_NOT_BIJ, _NOT_GF2, _K2],
+    "zero-vee-gf5": [*_NOT_BIJ, _NOT_GF2,
+                     ("HypothesesNotMet", "factorization covers bijective maps only")],
+    "singular-c2-q": [*_NOT_BIJ, _NOT_GF2, _K2],
+    "singular-c2-gf2": [*_NOT_BIJ,
+                        ("HypothesesNotMet", "factorization covers bijective maps only"),
+                        _K2],
+    "nonpres-c2-gf3": [
+        ("NotIdempotentPreserver",
+         "idempotent e(1,1) + e(1,2) maps to a non-idempotent"),
+        _NOT_JORDAN, _NOT_GF2, _K2],
+    "nonpres-c2-gf2": [
+        ("NotIdempotentPreserver",
+         "idempotent e(1,1) + e(1,2) maps to a non-idempotent"),
+        _NOT_JORDAN,
+        ("NotIdempotentPreserver",
+         "idempotent e(1,1) + e(1,2) maps to a non-idempotent"),
+        _K2],
+    "nonpres-vee-gf5": [
+        ("HypothesesNotMet", "3-potent e(1,1) + e(1,2) maps to a non-3-potent"),
+        _NOT_JORDAN, _NOT_GF2,
+        ("HypothesesNotMet", "3-potent e(1,1) + e(1,2) maps to a non-3-potent")],
+    "nonroot-c2-gf7": [
+        ("HypothesesNotMet", "4-potent e(1,1) maps to a non-4-potent"),
+        _NOT_JORDAN, _NOT_GF2,
+        ("HypothesesNotMet", "4-potent e(1,1) maps to a non-4-potent")],
+    "antichain-gf2": [
+        ("DisconnectedPoset", "classification needs a connected poset"),
+        _CONN, _CONN, _K2],
+    "antichain-gf3": [_CHAR3, _CONN, _NOT_GF2, _CONN],
+    "gf3-k3": [_CHAR3, None, _NOT_GF2, None],
+    "gf4-z2": [None, None, _NOT_GF2, _K2],
+    "gf5-z2": [None, None, _NOT_GF2, _K2],
+}
+
+
+def test_refusals_are_pinned_across_the_entry_points():
+    # which guard fires first, and with which message, per entry point
+    def outcome(call):
+        try:
+            call()
+        except (IncalgError, ValueError) as e:
+            return (type(e).__name__, str(e))
+        return None
+
+    cases = _refusal_cases()
+    assert [name for name, _, _ in cases] == list(PINNED_REFUSALS)
+    for name, phi, k in cases:
+        got = [outcome(lambda: classify_preserver(phi, k)),
+               outcome(lambda: jordan_decompose(phi)),
+               outcome(lambda: z2_decompose(phi)),
+               outcome(lambda: scalar_split(phi, k))]
+        assert got == PINNED_REFUSALS[name], name
 
 
 def test_per_column_recomposition_guards_the_jordan_factors(monkeypatch):

@@ -8,8 +8,10 @@ import sys
 
 import pytest
 
+import incalg.harness.verify as verify
 from incalg.algebra import conjugate, from_triples
 from incalg.cli import main
+from incalg.errors import RecompositionMismatch
 from incalg.field import GF
 from incalg.poset import chain
 
@@ -371,3 +373,65 @@ def test_missing_poset_file(capsys):
     code = main(["enumerate-potents", "--poset", "does-not-exist.poset",
                  "--field", "2", "--k", "2", "--count-only"])
     assert code == 2
+
+
+def test_verify_reports_a_failing_spot_sample(capsys, monkeypatch):
+    # a factorization that raises on one sample fails the whole report; the
+    # sample keeps the error by name and the others still read ok
+    real = verify.classify_preserver
+    calls = []
+
+    def second_map_fails(phi, k, **kwargs):
+        calls.append(phi)
+        if len(calls) == 2:
+            raise RecompositionMismatch("factors do not recompose to the input")
+        return real(phi, k, **kwargs)
+
+    monkeypatch.setattr(verify, "classify_preserver", second_map_fails)
+    code, out = run(capsys, "verify", "--poset", "chain:2", "--field", "3",
+                    "--theorem", "char-ne-2", "--spot", "3")
+    assert code == 1
+    assert out["match"] is False
+    assert out["preserver_count"] == out["family_count"] == 12
+    assert [s["ok"] for s in out["samples"]] == [True, False, True]
+    assert out["samples"][1] == {
+        "map": out["samples"][1]["map"], "ok": False,
+        "error": "RecompositionMismatch: factors do not recompose to the input"}
+
+
+def test_decompose_reads_a_map_file(tmp_path, capsys):
+    path = tmp_path / "doubled.map"
+    path.write_text(DOUBLED_MAP_GF7)
+    code, out = run(capsys, "decompose", "--poset", "chain:2", "--field", "7",
+                    "--k", "4", "--map", str(path))
+    assert code == 0
+    assert out["regime"] == "kpotent"
+    assert out["certificates"]["r"] == "2"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("decompose", "--poset", "chain:2", "--field", "3", "--k", "3",
+      "--map", "3 3\n1 0 0\n0 1 0\n0 0 1\n"),
+     {"error": "UnsupportedRegime",
+      "message": "k = 3 is divisible by the characteristic 3"}),
+    (("spectral", "--poset", "chain:2", "--field", "5", "--k", "1",
+      "--element", "[[1,1,1]]"),
+     {"error": "ValueError", "message": "k must be >= 2"}),
+], ids=["decompose-gf3-k3", "spectral-k1"])
+def test_decompose_and_spectral_usage_errors_exit_two(capsys, argv, message):
+    assert run(capsys, *argv) == (2, message)
+
+
+def test_demo_one_name_prints_one_report(capsys):
+    code, out = run(capsys, "demo", "pure-shift")
+    assert code == 0
+    assert isinstance(out, dict)
+    assert out["demo"] == "pure-shift" and out["ok"] is True
+
+
+def test_enumerate_potents_lists_the_elements(capsys):
+    code, out = run(capsys, "enumerate-potents", "--poset", "chain:2",
+                    "--field", "3", "--k", "2")
+    assert code == 0
+    assert out["count"] == len(out["elements"]) == 8
+    assert out["elements"][:3] == [[], [[1, 1, "1"]], [[2, 2, "1"]]]

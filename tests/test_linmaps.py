@@ -6,12 +6,14 @@ from fractions import Fraction
 
 import pytest
 
+import incalg.linmaps as linmaps
 from incalg.algebra import (IncElement, basis_element, convolve, delta,
                             from_triples, is_k_potent, jordan_product,
                             lie_bracket, try_inverse)
 from incalg.errors import (DimensionMismatch, Singular, StructureMismatch)
 from incalg.field import GF, QQ
 from incalg.harness.families import jordan_like_maps
+from incalg.harness.kernels import linmap_from_codes, sweep_gl
 from incalg.linmaps import (LinMap, Subspace, apply_map, compose,
                             conjugation_map, format_linmap,
                             has_idempotent_diagonal_images, identity_map,
@@ -26,7 +28,7 @@ from incalg.linmaps import (LinMap, Subspace, apply_map, compose,
                             shift_from_functional, subspace_intersection,
                             try_invert)
 from incalg.linmaps import (_aba, _abc_cba, _bracket, _jordan,
-                            _reversed_product, _square)
+                            _reversed_product, _sampled_potents, _square)
 from incalg.poset import chain, enumerate_order_maps, poset_from_relations
 
 
@@ -526,3 +528,65 @@ def test_algebra_iso_checks_the_pairs_a_after_b(q):
             != convolve(phi.image(a), phi.image(b)))
     assert not is_algebra_automorphism(phi)
     assert not is_algebra_anti_automorphism(phi)
+
+
+@pytest.mark.parametrize("F", [GF(5), QQ()], ids=["gf5", "q"])
+def test_bijectivity_is_eliminated_once_and_kept_by_nonzero_multiples(
+        F, monkeypatch):
+    calls = []
+    rref = linmaps._rref
+
+    def counting(rows, field):
+        calls.append(1)
+        return rref(rows, field)
+
+    monkeypatch.setattr(linmaps, "_rref", counting)
+    P = chain(3)
+    phi = conjugation_map(from_triples(P, F, [(1, 1, 2), (2, 2, 1), (3, 3, 1),
+                                              (1, 3, 1)]))
+    assert is_bijective(phi) and is_bijective(phi)
+    assert len(calls) == 1
+    assert is_bijective(scale_map(phi, 3))
+    assert len(calls) == 1
+    # the zero multiple has rank 0: it inherits nothing and is eliminated
+    assert not is_bijective(scale_map(phi, 0))
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("P", [chain(3), poset_from_relations(
+    [1, 2, 3], [(1, 2), (1, 3)]), fork(), chain(4)],
+    ids=["chain3", "vee", "fork", "chain4"])
+@pytest.mark.parametrize("F", [QQ(), GF(5), GF(7)], ids=["q", "gf5", "gf7"])
+@pytest.mark.parametrize("k", [2, 3])
+def test_sampled_potents_on_larger_posets_are_potent(P, F, k):
+    # beyond two points the sampler adds e_w + e_x + e_xy for w outside
+    # {x, y} and the two-step idempotents e_y + e_xy + e_yv + e_xv
+    sampled = _sampled_potents(P, F, k)
+    assert all(is_k_potent(f, k) for f in sampled)
+    coeffs = {f.coeffs for f in sampled}
+    x, y = P.strict_pairs[0]
+    w = next(w for w in P.labels if w not in (x, y))
+    assert (basis_element(P, F, w, w) + basis_element(P, F, x, x)
+            + basis_element(P, F, x, y)).coeffs in coeffs
+    # V has no chain of length two, hence no two-step idempotent
+    for x, y, v in ((x, y, v) for x, y in P.strict_pairs for v in P.labels
+                    if P.lt(y, v)):
+        assert (basis_element(P, F, y, y) + basis_element(P, F, x, y)
+                + basis_element(P, F, y, v)
+                + basis_element(P, F, x, v)).coeffs in coeffs
+
+
+@pytest.mark.parametrize("P,q,limit,count", [
+    (chain(3), 2, 300, 512),
+    (poset_from_relations([1, 2, 3], [(1, 2), (1, 3)]), 3, None, 72),
+    (chain(3), 3, None, 216),
+], ids=["chain3-gf2", "vee-gf3", "chain3-gf3"])
+def test_sampled_mode_accepts_every_exhaustive_preserver(P, q, limit, count):
+    # sampled mode is a necessary condition: it never refuses a map the
+    # exhaustive check accepts
+    F = GF(q)
+    rows = sweep_gl(P, F, 2).preservers
+    assert rows.shape[0] == count
+    for row in rows[:limit]:
+        phi = linmap_from_codes(P, F, tuple(int(v) for v in row))
+        assert is_k_potent_preserver(phi, 2, mode="sampled")
