@@ -91,6 +91,7 @@ class ScalarSplit:
     psi: LinMap
     psi_kind: str
     factorization: JordanFactorization
+    mode: str  # how phi's preservation was checked: exhaustive or sampled
 
 
 def jordan_decompose(phi):
@@ -188,13 +189,15 @@ def _recomposed_columns(P, F, b, binv, lam_hat, sigma_vals):
     return tuple(out)
 
 
-def _require_idempotent_preserver(phi, mode, budget):
+def _require_idempotent_preserver(phi, budget):
     """Raise NotIdempotentPreserver, naming the first idempotent whose image
-    is not idempotent, unless phi preserves idempotents."""
+    is not idempotent, unless phi preserves idempotents; return the check."""
+    mode = "exhaustive" if phi.field.is_finite() else "sampled"
     check = is_k_potent_preserver(phi, 2, mode=mode, budget=budget)
     if not check:
         raise NotIdempotentPreserver(
             f"idempotent {check.witness!r} maps to a non-idempotent")
+    return check
 
 
 def z2_decompose(phi, budget=DEFAULT_BUDGET):
@@ -206,7 +209,7 @@ def z2_decompose(phi, budget=DEFAULT_BUDGET):
         raise DisconnectedPoset("factorization needs a connected poset")
     if not is_bijective(phi):
         raise HypothesesNotMet("factorization covers bijective maps only")
-    _require_idempotent_preserver(phi, "exhaustive", budget)
+    _require_idempotent_preserver(phi, budget)
 
     z = F.zero
     beta = simultaneous_diagonalize([phi.image(i) for i in range(P.n)])
@@ -279,8 +282,9 @@ def z2_decompose(phi, budget=DEFAULT_BUDGET):
     return fact
 
 
-def scalar_split(phi, k, mode="exhaustive", budget=DEFAULT_BUDGET):
-    """Split a k-potent preserver (k >= 3) as r * (auto or anti-auto)."""
+def scalar_split(phi, k, budget=DEFAULT_BUDGET):
+    """Split a k-potent preserver (k >= 3) as r * (auto or anti-auto); over Q,
+    where the preserver check is sampled, the checked factors keep it exact."""
     if k < 3:
         raise ValueError("scalar_split applies to k >= 3")
     P, F = phi.poset, phi.field
@@ -288,6 +292,7 @@ def scalar_split(phi, k, mode="exhaustive", budget=DEFAULT_BUDGET):
         raise DisconnectedPoset("factorization needs a connected poset")
     if not is_bijective(phi):
         raise HypothesesNotMet("factorization covers bijective maps only")
+    mode = "exhaustive" if F.is_finite() else "sampled"
     check = is_k_potent_preserver(phi, k, mode=mode, budget=budget)
     if not check:
         raise HypothesesNotMet(
@@ -318,7 +323,7 @@ def scalar_split(phi, k, mode="exhaustive", budget=DEFAULT_BUDGET):
             "factor kind disagrees with the direct predicate", kind)
     if scale_map(psi, r) != phi:
         raise RecompositionMismatch("r * psi does not recompose to the input", phi)
-    return ScalarSplit(r, psi, kind, fact)
+    return ScalarSplit(r, psi, kind, fact, check.mode)
 
 
 # --- dispatch and reporting ---
@@ -367,9 +372,10 @@ def _jordan_factors(fact):
 
 # --- one certify function per regime: (certificates, factors, notes) ---
 
-def _certify_z2(phi, k, mode, budget):
+def _certify_z2(phi, k, budget):
+    # z2_decompose runs over GF(2), where its preserver check is exhaustive
     fact = z2_decompose(phi, budget)
-    return ({"bijective": True, "idempotent_preserver": mode,
+    return ({"bijective": True, "idempotent_preserver": "exhaustive",
              "shift_is_shift_map": True, "lie_part_is_lie_automorphism": True},
             {"shift": _linmap_jsonable(fact.shift),
              "lie_part": _linmap_jsonable(fact.lie_part),
@@ -377,33 +383,33 @@ def _certify_z2(phi, k, mode, budget):
             ["shift o lie_part recomposes to the input exactly"])
 
 
-def _certify_char_2_big(phi, k, mode, budget):
+def _certify_char_2_big(phi, k, budget):
     # certificates only: no automorphism/anti-automorphism factorization
     # exists in general, so none is attempted
-    _require_idempotent_preserver(phi, mode, budget)
+    check = _require_idempotent_preserver(phi, budget)
     if not (is_lie_homomorphism(phi) and has_idempotent_diagonal_images(phi)):
         raise InternalConsistencyError(
             "exhaustive idempotent preserver misses its certificate",
             format_linmap(phi))
-    return ({"bijective": True, "idempotent_preserver": mode,
+    return ({"bijective": True, "idempotent_preserver": check.mode,
              "lie_homomorphism": True, "diagonal_idempotent_images": True},
             {}, ["maps in this regime are Lie automorphisms sending each "
                  "e_x to an idempotent; no automorphism/anti-automorphism "
                  "factorization exists in general and none is attempted"])
 
 
-def _certify_char_ne_2(phi, k, mode, budget):
-    _require_idempotent_preserver(phi, mode, budget)
+def _certify_char_ne_2(phi, k, budget):
+    check = _require_idempotent_preserver(phi, budget)
     fact = jordan_decompose(phi)
-    return ({"bijective": True, "idempotent_preserver": mode,
+    return ({"bijective": True, "idempotent_preserver": check.mode,
              "jordan_homomorphism": True, "kind": fact.order_map.kind},
             _jordan_factors(fact), [])
 
 
-def _certify_scalar_split(phi, k, mode, budget):
-    split = scalar_split(phi, k, mode, budget)
+def _certify_scalar_split(phi, k, budget):
+    split = scalar_split(phi, k, budget)
     r = phi.field.format(split.r)
-    return ({"bijective": True, "potent_preserver": mode, "r": r,
+    return ({"bijective": True, "potent_preserver": split.mode, "r": r,
              "r_power_check": f"r^{k - 1} = 1", "psi_kind": split.psi_kind},
             {"r": r, "psi": _linmap_jsonable(split.psi),
              **_jordan_factors(split.factorization)},
@@ -446,9 +452,8 @@ def classify_preserver(phi, k, budget=DEFAULT_BUDGET):
         raise DisconnectedPoset("classification needs a connected poset")
     if not is_bijective(phi):
         raise HypothesesNotMet("classification covers bijective maps only")
-    mode = "exhaustive" if F.is_finite() else "sampled"
-    certificates, factors, notes = _CERTIFY[regime](phi, k, mode, budget)
-    if mode == "sampled":
+    certificates, factors, notes = _CERTIFY[regime](phi, k, budget)
+    if not F.is_finite():
         notes.append("rational scalars: preserver check is the sampled "
                      "necessary condition, not an exhaustive proof")
     return ClassifyReport(regime, k, F.flag(), certificates, factors, notes)

@@ -83,9 +83,14 @@ def _element_triples(f):
 def cmd_verify(args):
     P = _load_poset(args.poset)
     F = field_from_flag(args.field)
-    report = verify_theorem(args.theorem, P, F, k=args.k,
-                            workers=args.workers, backend=args.backend,
-                            budget=args.budget, spot=args.spot)
+    try:
+        report = verify_theorem(args.theorem, P, F, k=args.k,
+                                workers=args.workers, backend=args.backend,
+                                budget=args.budget, spot=args.spot)
+    except USAGE_ERRORS as e:
+        return _fail(e, 2)
+    except IncalgError as e:
+        return _fail(e, 1)
     _emit(report.to_jsonable())
     return 0 if report.match else 1
 

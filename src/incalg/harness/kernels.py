@@ -285,13 +285,8 @@ class SweepResult:
     flag_counts: np.ndarray  # Python ints: |GL| outgrows int64 quickly
     preservers: np.ndarray  # (n_pres, dim) column codes, enumeration order
     lie_maps: np.ndarray
-    mismatches: np.ndarray  # preservers xor (Lie and exidem), when both asked
     levels: list  # per depth: nodes visited, pruned, passed; maps covered
     elapsed_s: float
-
-    def flag(self, name):
-        """Value (0 or 1) of flag ``name`` at each index of flag_counts."""
-        return (np.arange(self.flag_counts.size) >> self.FLAGS.index(name)) & 1
 
     @property
     def counts(self):
@@ -360,10 +355,7 @@ def sweep_gl(P, F, k, want_lie=False, want_exidem=False, workers=1,
         unreached -= e_unreached
     flag_counts[0] += unreached
 
-    none = np.empty((0, tab.dim), dtype=np.int64)
-    return SweepResult(
-        len(ranges), n_maps, flag_counts, cols[pres],
-        cols[lie] if want_lie else none,
-        cols[pres != (lie & exid)] if want_lie and want_exidem else none,
-        search.levels, time.perf_counter() - t0)
+    # without want_lie no leaf has its lie flag, so cols[lie] is empty
+    return SweepResult(len(ranges), n_maps, flag_counts, cols[pres], cols[lie],
+                       search.levels, time.perf_counter() - t0)
 

@@ -2,10 +2,10 @@
 
 Every statement is checked by one recipe: search all bijective maps on
 I(X, F) (a pruned subtree is counted, not visited), collect the k-potent
-preservers, rebuild the family the statement predicts from its published
-ingredients, and compare the two as sets of column-code tuples (or, for Lie
-maps with idempotent diagonal images, compare the sweep's flags map by map).
-A handful of preservers are then pushed through ``classify_preserver`` as a
+preservers, rebuild the family the statement predicts, and compare the two
+as sets of column-code tuples. On a mismatch the first few maps of the
+symmetric difference, in enumeration order, are named as witnesses. A
+handful of preservers are then pushed through ``classify_preserver`` as a
 spot check; each sample records the certificates it reports. Which statement
 applies to (F, k) is decided by ``classify.regime_of``; a row of
 ``_STATEMENTS`` holds what differs between the statements: the fixed k, the
@@ -24,7 +24,7 @@ import numpy as np
 from ..classify import classify_preserver, regime_of
 from ..errors import DisconnectedPoset, IncalgError
 from ..poset import is_connected
-from ..potents import DEFAULT_BUDGET
+from ..potents import DEFAULT_BUDGET, cached_potents
 from .families import bijective_shifts, jordan_like_maps, scaled_maps
 from .kernels import (build_sweep_tables, codes_of_linmap, image_codes,
                       linmap_from_codes, sweep_gl)
@@ -105,18 +105,14 @@ def _scaled_family(P, F, k, res, budget):
     return {codes_of_linmap(m) for m in fam_maps.values()}, []
 
 
-def _lie_idempotent_flags(res):
-    """Compare preserving with (Lie and idempotent diagonal images) on every
-    swept map. Returns (maps with both, match, notes)."""
-    pres = res.flag("pres")
-    predicted = res.flag("lie") & res.flag("exidem")
-    mismatches = int(res.flag_counts[pres != predicted].sum())
-    agree = int(res.flag_counts[(pres & predicted) == 1].sum())
-    notes = [f"mismatch witness: {list(int(v) for v in row)}"
-             for row in res.mismatches[:8]]
-    notes.append(f"{mismatches} maps where preserving and "
-                 "(Lie and idempotent images) disagree")
-    return agree, mismatches == 0, notes
+def _lie_idempotent_family(P, F, k, res, budget):
+    """The swept Lie maps whose diagonal basis images are idempotent."""
+    idem = cached_potents(P, F, 2, budget=budget).lookup
+    lie = res.lie_maps
+    fam = _rows_to_set(lie[idem[lie[:, :P.n]].all(axis=1)])
+    differ = len(_rows_to_set(res.preservers) ^ fam)
+    return fam, [f"{differ} maps where preserving and "
+                 "(Lie and idempotent images) disagree"]
 
 
 @dataclass(frozen=True)
@@ -125,13 +121,14 @@ class _Statement:
     regimes: tuple      # the values of classify.regime_of it covers
     want_lie: bool      # sweep flags
     want_exidem: bool
-    family: object      # family(P, F, k, res, budget); None compares flags
+    family: object      # family(P, F, k, res, budget) -> (codes set, notes)
 
 
 _STATEMENTS = {
     "z2": _Statement(2, ("z2",), True, False, _shift_lie_family),
     "char-ne-2": _Statement(2, ("char-ne-2",), False, False, _scaled_family),
-    "char-2-big": _Statement(2, ("char-2-big",), True, True, None),
+    "char-2-big": _Statement(2, ("char-2-big",), True, True,
+                             _lie_idempotent_family),
     "tripotent": _Statement(3, ("tripotent",), False, False, _scaled_family),
     "kpotent": _Statement(None, ("tripotent", "kpotent"), False, False,
                           _scaled_family),
@@ -161,11 +158,11 @@ def verify_theorem(theorem, P, F, k=None, workers=1, backend=None,
     res = sweep_gl(P, F, k, want_lie=st.want_lie, want_exidem=st.want_exidem,
                    workers=workers, backend=backend, budget=budget)
     preservers = _rows_to_set(res.preservers)
-    if st.family is None:
-        family_count, match, notes = _lie_idempotent_flags(res)
-    else:
-        fam, notes = st.family(P, F, k, res, budget)
-        family_count, match = len(fam), preservers == fam
+    fam, notes = st.family(P, F, k, res, budget)
+    match = preservers == fam
+    # the first witnesses in the sweep's enumeration order: sorted code tuples
+    notes = [f"mismatch witness: {list(codes)}"
+             for codes in sorted(preservers ^ fam)[:8]] + notes
 
     samples = []
     for i in _spot_indices(res.preservers.shape[0], spot):
@@ -180,5 +177,5 @@ def verify_theorem(theorem, P, F, k=None, workers=1, backend=None,
         match = match and rec["ok"]
         samples.append(rec)
     return SweepReport(theorem, describe_poset(P), F.flag(), k, res.workers,
-                       res.n_maps, res.counts, len(preservers), family_count,
+                       res.n_maps, res.counts, len(preservers), len(fam),
                        match, res.elapsed_s, res.levels, samples, notes)

@@ -7,18 +7,21 @@ import pytest
 
 import incalg.classify as classify
 import incalg.linmaps as linmaps
-from incalg.algebra import basis_element, delta, from_triples, try_inverse
+from incalg.algebra import (basis_element, delta, from_triples, is_k_potent,
+                            try_inverse)
 from incalg.classify import (classify_preserver, jordan_decompose,
                              scalar_split, z2_decompose)
 from incalg.errors import (DisconnectedPoset, HypothesesNotMet, IncalgError,
                            NotIdempotentPreserver, NotJordanAutomorphism,
-                           RecompositionMismatch, UnsupportedRegime)
+                           PhiDeltaNotScalar, RecompositionMismatch,
+                           UnsupportedRegime)
 from incalg.field import GF, QQ
 from incalg.harness.families import jordan_like_maps
 from incalg.harness.gl import enumerate_gl
 from incalg.harness.kernels import linmap_from_codes, sweep_gl
-from incalg.linmaps import (LinMap, compose, conjugation_map, identity_map,
-                            is_jordan_homomorphism, is_k_potent_preserver,
+from incalg.linmaps import (LinMap, apply_map, compose, conjugation_map,
+                            identity_map, is_jordan_homomorphism,
+                            is_k_potent_preserver,
                             linmap_from_images, linmap_from_pair_images,
                             multiplicative_map, order_induced_map, scale_map,
                             shift_from_functional)
@@ -178,6 +181,38 @@ def test_scalar_split_refuses_a_non_bijective_preserver():
 def test_scalar_split_rejects_k2():
     with pytest.raises(ValueError):
         scalar_split(identity_map(chain(2), GF(5)), 2)
+
+
+def test_scalar_split_over_the_rationals():
+    # the preserver check follows the field, as in classify_preserver: over
+    # Q it is the sampled one, and the split says so
+    phi = scale_map(identity_map(chain(2), QQ()), -1)
+    split = scalar_split(phi, 3)
+    assert split.r == -1 and split.mode == "sampled"
+    assert split.psi == identity_map(chain(2), QQ())
+    certificates = classify_preserver(phi, 3).certificates
+    assert certificates["r"] == "-1"
+    assert certificates["potent_preserver"] == "sampled"
+
+
+def test_sampled_check_passes_a_map_that_phi_delta_refuses():
+    # e11 -> e11, e22 -> -e22, e12 -> e12 over Q passes the sampled
+    # tripotent check, which is a necessary condition only: the tripotent
+    # f = e11 - e22 + e12 goes to delta + e12, whose cube is delta + 3 e12.
+    # The factorization refuses it at phi(delta) = e11 - e22
+    P, F = chain(2), QQ()
+    psi = linmap_from_images(P, F, [from_triples(P, F, [(1, 1, 1)]),
+                                    from_triples(P, F, [(2, 2, -1)]),
+                                    from_triples(P, F, [(1, 2, 1)])])
+    assert is_k_potent_preserver(psi, 3, mode="sampled")
+    f = from_triples(P, F, [(1, 1, 1), (2, 2, -1), (1, 2, 1)])
+    assert is_k_potent(f, 3)
+    assert apply_map(psi, f) == from_triples(P, F, [(1, 1, 1), (2, 2, 1),
+                                                    (1, 2, 1)])
+    assert not is_k_potent(apply_map(psi, f), 3)
+    with pytest.raises(PhiDeltaNotScalar, match="^image of delta is not a "
+                       "nonzero multiple of delta"):
+        classify_preserver(psi, 3)
 
 
 def test_classify_regimes_and_reports():

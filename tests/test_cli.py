@@ -3,15 +3,18 @@
 import hashlib
 import io
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
+import incalg
 import incalg.harness.verify as verify
 from incalg.algebra import conjugate, from_triples
 from incalg.cli import main
-from incalg.errors import RecompositionMismatch
+from incalg.errors import InternalConsistencyError, RecompositionMismatch
 from incalg.field import GF
 from incalg.poset import chain
 
@@ -19,6 +22,11 @@ IDENTITY_MAP_GF5 = "5 3\n1 0 0\n0 1 0\n0 0 1\n"
 DOUBLED_MAP_GF5 = "5 3\n2 0 0\n0 2 0\n0 0 2\n"
 DOUBLED_MAP_GF7 = "7 3\n2 0 0\n0 2 0\n0 0 2\n"
 NEGATED_MAP_Q = "Q 3\n-1 0 0\n0 -1 0\n0 0 -1\n"
+
+# child interpreters import the incalg these tests import, installed or not
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+    str(pathlib.Path(incalg.__file__).parents[1]),
+    os.environ.get("PYTHONPATH")]))}
 
 
 def run(capsys, *argv):
@@ -172,7 +180,8 @@ def test_verify_survives_closed_stdout():
     proc = subprocess.Popen(
         [sys.executable, "-m", "incalg.cli", "verify", "--poset", "chain:2",
          "--field", "2", "--theorem", "z2"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=CHILD_ENV)
     proc.stdout.close()
     err = proc.stderr.read()
     assert proc.wait() == 0
@@ -183,7 +192,7 @@ def test_verify_rejects_numba_backend():
     proc = subprocess.run(
         [sys.executable, "-m", "incalg.cli", "verify", "--poset", "chain:2",
          "--field", "2", "--theorem", "z2", "--backend", "numba"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=CHILD_ENV)
     assert proc.returncode == 2
 
 
@@ -317,7 +326,7 @@ def test_malformed_scalars_and_triples_exit_two(field, command, payload):
     proc = subprocess.run(
         [sys.executable, "-m", "incalg.cli", command, "--poset", "chain:2",
          "--field", field, "--k", "3", flag, "-"],
-        input=payload, capture_output=True, text=True)
+        input=payload, capture_output=True, text=True, env=CHILD_ENV)
     assert proc.returncode == 2
     assert "error" in json.loads(proc.stdout)
     assert "Traceback" not in proc.stderr
@@ -397,6 +406,21 @@ def test_verify_reports_a_failing_spot_sample(capsys, monkeypatch):
     assert out["samples"][1] == {
         "map": out["samples"][1]["map"], "ok": False,
         "error": "RecompositionMismatch: factors do not recompose to the input"}
+
+
+def test_verify_internal_error_exits_one(capsys, monkeypatch):
+    # a broken invariant is a failed claim, as in decompose, not a refused
+    # request
+    def broken(*args, **kwargs):
+        raise InternalConsistencyError(
+            "pruned and enumerated maps do not add up to |GL|")
+
+    monkeypatch.setattr(verify, "sweep_gl", broken)
+    code, out = run(capsys, "verify", "--poset", "chain:2", "--field", "3",
+                    "--theorem", "char-ne-2")
+    assert code == 1
+    assert out == {"error": "InternalConsistencyError", "message":
+                   "pruned and enumerated maps do not add up to |GL|"}
 
 
 def test_decompose_reads_a_map_file(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import json
 import random
 import sys
 from fractions import Fraction
@@ -16,20 +17,20 @@ from incalg.algebra import (IncElement, add_coeffs, basis_element,
 from incalg.classify import classify_preserver, regime_of
 from incalg.errors import BudgetExceeded, UnsupportedRegime
 from incalg.field import GF, QQ
-from incalg.harness import kernels
+from incalg.harness import kernels, verify
 from incalg.harness.families import (_sigma_classes, bijective_shifts,
                                      invertible_elements, jordan_like_maps,
-                                     multiplicative_systems)
+                                     multiplicative_systems, scaled_maps)
 from incalg.harness.gl import enumerate_gl, gl_order
 from incalg.harness.kernels import (build_sweep_tables, codes_of_linmap,
                                     image_codes, linmap_from_codes, sweep_gl)
 from incalg.harness.verify import THEOREMS, verify_theorem
 from incalg.linmaps import (LinMap, apply_map, compose, conjugation_map,
                             has_idempotent_diagonal_images, identity_map,
-                            is_bijective, is_k_potent_preserver,
-                            is_lie_homomorphism, multiplicative_map,
-                            order_induced_map, preserves_jordan_products,
-                            scale_map)
+                            is_algebra_automorphism, is_bijective,
+                            is_k_potent_preserver, is_lie_homomorphism,
+                            multiplicative_map, order_induced_map,
+                            preserves_jordan_products, scale_map)
 from incalg.poset import chain, enumerate_order_maps, poset_from_relations
 
 
@@ -179,9 +180,16 @@ def test_sweep_lie_maps_match_python_oracle(q):
 
 
 def test_sweep_char2_big_has_no_mismatches():
-    res = sweep_gl(chain(2), GF(4), 2, want_lie=True, want_exidem=True)
-    assert res.mismatches.shape == (0, 3)
-    assert len(res.preservers) == 24 and len(res.lie_maps) == 144
+    # the char 2, |F| > 2 statement as sets: the preservers are exactly the
+    # swept Lie maps whose diagonal basis images the pure-Python predicate
+    # finds idempotent
+    P, F = chain(2), GF(4)
+    res = sweep_gl(P, F, 2, want_lie=True, want_exidem=True)
+    lie = [tuple(row) for row in res.lie_maps.tolist()]
+    predicted = {codes for codes in lie if has_idempotent_diagonal_images(
+        linmap_from_codes(P, F, codes))}
+    assert {tuple(row) for row in res.preservers.tolist()} == predicted
+    assert len(res.preservers) == 24 and len(lie) == 144
 
 
 @pytest.mark.parametrize("q,cells", [
@@ -621,3 +629,45 @@ def test_verify_z2_on_vee_poset():
     assert r.match
     assert r.n_maps == gl_order(5, 2)
     assert r.preserver_count == r.family_count == 128
+
+
+def _automorphisms_only(P, F):
+    return {key: m for key, m in jordan_like_maps(P, F).items()
+            if is_algebra_automorphism(m)}
+
+
+def _one_root_only(maps, F, k):
+    return scaled_maps(maps, F, 2)  # the 1st roots of unity: r = 1 alone
+
+
+def _identity_shift_only(P, F):
+    # the shift.Lie family is redundant on V GF(2): dropping one shift, or
+    # even 12 of the 16, still reaches all 128 preservers
+    return [s for s in bijective_shifts(P, F) if s == identity_map(P, F)]
+
+
+@pytest.mark.parametrize("name,mutant,theorem,P,q,k,sizes", [
+    ("jordan_like_maps", _automorphisms_only, "char-ne-2", chain(2), 3, None,
+     (12, 6)),
+    ("scaled_maps", _one_root_only, "kpotent", chain(2), 7, 4, (252, 84)),
+    ("bijective_shifts", _identity_shift_only, "z2", vee(), 2, None,
+     (128, 32)),
+], ids=["no-anti-automorphisms", "one-root", "identity-shift"])
+def test_a_family_mutant_fails_with_witnesses(monkeypatch, name, mutant,
+                                              theorem, P, q, k, sizes):
+    # verify calls the family builders through its global names, so a
+    # wrapper that shrinks the family must fail the report, and the notes
+    # must name the first preservers the family misses, in sweep order
+    monkeypatch.setattr(verify, name, mutant)
+    F = GF(q)
+    report = verify_theorem(theorem, P, F, k=k, spot=0)
+    assert not report.match
+    assert (report.preserver_count, report.family_count) == sizes
+    witnesses = [note for note in report.notes
+                 if note.startswith("mismatch witness: ")]
+    assert len(witnesses) == min(8, sizes[0] - sizes[1])
+    assert report.notes[:len(witnesses)] == witnesses
+    codes = [tuple(json.loads(note.split(": ", 1)[1])) for note in witnesses]
+    assert codes == sorted(codes)
+    for c in codes:
+        assert is_k_potent_preserver(linmap_from_codes(P, F, c), report.k)
