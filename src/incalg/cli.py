@@ -2,10 +2,11 @@
 
 Exit codes: 0 when the requested check or construction succeeded, 1 when a
 mathematical claim failed (a verification mismatch, a map outside the
-classified family, an element without the requested decomposition), 2 for
-requests outside the supported regimes or budgets, and for a disconnected
-poset where the classification needs a connected one. A reader that closes
-stdout early does not change the exit code.
+classified family, an element without the requested decomposition), 2 when
+the request was refused. ``main`` alone maps errors to codes: one in
+``REFUSALS`` exits 2, any other ``IncalgError`` exits 1, and both print
+``{"error", "message"}`` JSON on stdout. A reader that closes stdout early
+does not change the exit code.
 """
 
 import argparse
@@ -16,8 +17,10 @@ import sys
 
 from .algebra import diagonal_part, from_triples
 from .classify import classify_preserver
-from .errors import (BudgetExceeded, ClaimFailed, DisconnectedPoset,
-                     IncalgError, NoPrimitiveRoot, UnsupportedField)
+from .errors import (BudgetExceeded, CycleError, DimensionMismatch,
+                     DisconnectedPoset, EmptyPoset, IncalgError,
+                     IncomparablePair, NoPrimitiveRoot, StructureMismatch,
+                     UnknownLabel, UnsupportedField)
 from .field import field_from_flag
 from .harness.demos import DEMO_NAMES, run_all_demos, run_demo
 from .harness.verify import SPOT_DEFAULT, THEOREMS, verify_theorem
@@ -26,9 +29,14 @@ from .poset import antichain, chain, parse_poset
 from .potents import (DEFAULT_BUDGET, conjugate_to_diagonal,
                       enumerate_k_potents, spectral_decompose)
 
-# ValueError covers UnsupportedRegime, which subclasses it
-USAGE_ERRORS = (UnsupportedField, NoPrimitiveRoot, DisconnectedPoset,
-                BudgetExceeded, ValueError)
+# the errors that refuse a request (exit 2): the input errors of reading
+# --poset, --field, --map and --element, then the unsupported and the
+# oversized; ValueError covers UnsupportedRegime and bad JSON, and OSError a
+# missing or unreadable file
+REFUSALS = (EmptyPoset, CycleError, UnknownLabel, IncomparablePair,
+            StructureMismatch, DimensionMismatch, UnsupportedField,
+            NoPrimitiveRoot, DisconnectedPoset, BudgetExceeded, ValueError,
+            OSError)
 
 
 def _load_poset(spec):
@@ -71,7 +79,10 @@ def _emit(obj):
 
 
 def _fail(e, code):
-    _emit({"error": type(e).__name__, "message": str(e)})
+    out = {"error": type(e).__name__, "message": str(e)}
+    if hasattr(e, "claims"):
+        out["claims"] = e.claims
+    _emit(out)
     return code
 
 
@@ -83,14 +94,9 @@ def _element_triples(f):
 def cmd_verify(args):
     P = _load_poset(args.poset)
     F = field_from_flag(args.field)
-    try:
-        report = verify_theorem(args.theorem, P, F, k=args.k,
-                                workers=args.workers, backend=args.backend,
-                                budget=args.budget, spot=args.spot)
-    except USAGE_ERRORS as e:
-        return _fail(e, 2)
-    except IncalgError as e:
-        return _fail(e, 1)
+    report = verify_theorem(args.theorem, P, F, k=args.k,
+                            workers=args.workers, backend=args.backend,
+                            budget=args.budget, spot=args.spot)
     _emit(report.to_jsonable())
     return 0 if report.match else 1
 
@@ -99,12 +105,7 @@ def cmd_decompose(args):
     P = _load_poset(args.poset)
     F = field_from_flag(args.field)
     phi = parse_linmap(P, F, _read_source(args.map))
-    try:
-        report = classify_preserver(phi, args.k, budget=args.budget)
-    except USAGE_ERRORS as e:
-        return _fail(e, 2)
-    except IncalgError as e:
-        return _fail(e, 1)
+    report = classify_preserver(phi, args.k, budget=args.budget)
     _emit(report.to_jsonable())
     return 0
 
@@ -116,13 +117,8 @@ def cmd_spectral(args):
     if not isinstance(triples, list):
         raise ValueError("--element must be a JSON list of [x, y, value] triples")
     f = from_triples(P, F, triples)
-    try:
-        spec = spectral_decompose(f, args.k)
-        sigma = conjugate_to_diagonal(f, args.k)
-    except USAGE_ERRORS as e:
-        return _fail(e, 2)
-    except IncalgError as e:
-        return _fail(e, 1)
+    spec = spectral_decompose(f, args.k)
+    sigma = conjugate_to_diagonal(f, args.k)
     _emit({
         "k": args.k,
         "field": F.flag(),
@@ -136,28 +132,14 @@ def cmd_spectral(args):
 
 
 def cmd_demo(args):
-    try:
-        if args.name == "all":
-            reports = run_all_demos()
-        else:
-            reports = [run_demo(args.name)]
-    except ClaimFailed as e:
-        _emit({"error": "ClaimFailed", "message": str(e), "claims": e.claims})
-        return 1
-    _emit(reports if args.name == "all" else reports[0])
+    _emit(run_all_demos() if args.name == "all" else run_demo(args.name))
     return 0
 
 
 def cmd_enumerate_potents(args):
     P = _load_poset(args.poset)
     F = field_from_flag(args.field)
-    budget = args.budget
-    try:
-        elems = enumerate_k_potents(P, F, args.k, budget=budget)
-    except BudgetExceeded as e:
-        if not args.force or e.required is None:
-            return _fail(e, 2)
-        elems = enumerate_k_potents(P, F, args.k, budget=e.required)
+    elems = enumerate_k_potents(P, F, args.k, budget=args.budget)
     out = {"poset": {"labels": list(P.labels)}, "field": F.flag(),
            "k": args.k, "count": len(elems)}
     if not args.count_only:
@@ -222,8 +204,6 @@ def build_parser():
     add_common(p)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--force", action="store_true",
-                   help="retry with the budget the enumeration reports needing")
     p.add_argument("--count-only", action="store_true")
     p.set_defaults(func=cmd_enumerate_potents)
     return parser
@@ -233,11 +213,10 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (IncalgError, ValueError) as e:
+    except REFUSALS as e:
         return _fail(e, 2)
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    except IncalgError as e:
+        return _fail(e, 1)
 
 
 if __name__ == "__main__":

@@ -51,6 +51,19 @@ def _factor_prime_power(q):
     return None
 
 
+def power_by_squaring(mul, x, n):
+    """x^n for n >= 1 under the associative product ``mul``, in at most
+    2 log2(n) products."""
+    out = None
+    while True:
+        if n & 1:
+            out = x if out is None else mul(out, x)
+        n >>= 1
+        if not n:
+            return out
+        x = mul(x, x)
+
+
 class FieldSpec:
     """A field usable as scalars: GF(q) for q = p^m <= 64, or the rationals.
 
@@ -172,14 +185,7 @@ class FieldSpec:
         if n < 0:
             a = self.inv(a)
             n = -n
-        out = self.one
-        base = a
-        while n:
-            if n & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return out
+        return power_by_squaring(self.mul, a, n) if n else self.one
 
     def from_int(self, n):
         """Image of the integer n under the canonical ring map Z -> F."""

@@ -41,9 +41,11 @@ class Poset:
 
         # single-step structure constants: e_(x,y) e_(u,v) = [y==u] e_(x,v);
         # prod_terms[a] lists the nonzero (b, m) of row a, b ascending
+        from_lower = [[] for _ in range(self.n)]
+        for b, (u, v) in enumerate(self.pairs):
+            from_lower[u].append((b, v))
         self.prod_terms = tuple(
-            tuple((b, self.pair_pos[(x, v)])
-                  for b, (u, v) in enumerate(self.pairs) if y == u)
+            tuple((b, self.pair_pos[(x, v)]) for b, v in from_lower[y])
             for x, y in self.pairs)
 
         covers = []
@@ -115,17 +117,23 @@ def poset_from_relations(labels, relations):
     labels = list(labels)
     if not labels:
         raise EmptyPoset("a poset needs at least one element")
-    if len(set(labels)) != len(labels):
+    try:
+        pos = {x: i for i, x in enumerate(labels)}
+    except TypeError:
+        raise UnknownLabel("labels must be hashable") from None
+    if len(pos) != len(labels):
         raise UnknownLabel("duplicate labels")
-    pos = {x: i for i, x in enumerate(labels)}
+
+    def at(x):
+        try:
+            return pos[x]
+        except (KeyError, TypeError):  # TypeError: an unhashable label
+            raise UnknownLabel(f"{x!r} is not among the labels") from None
+
     n = len(labels)
     leq = [[i == j for j in range(n)] for i in range(n)]
     for a, b in relations:
-        if a not in pos:
-            raise UnknownLabel(f"{a!r} is not among the labels")
-        if b not in pos:
-            raise UnknownLabel(f"{b!r} is not among the labels")
-        leq[pos[a]][pos[b]] = True
+        leq[at(a)][at(b)] = True
     for k in range(n):
         for i in range(n):
             if leq[i][k]:
@@ -190,6 +198,12 @@ def parse_poset(text):
     stripped = text.lstrip()
     if stripped.startswith("{"):
         obj = json.loads(text)
+        if not (isinstance(obj.get("labels"), list)
+                and isinstance(obj.get("relations"), list)
+                and all(isinstance(r, list) and len(r) == 2
+                        for r in obj["relations"])):
+            raise UnknownLabel('a JSON poset is {"labels": [...], '
+                               '"relations": [[a, b], ...]}')
         labels = [tuple(x) if isinstance(x, list) else x for x in obj["labels"]]
         rels = [(tuple(a) if isinstance(a, list) else a,
                  tuple(b) if isinstance(b, list) else b)

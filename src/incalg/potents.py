@@ -2,9 +2,9 @@
 simultaneous diagonalization by an inner conjugation.
 
 The exhaustive scan is vectorized: every element of the coefficient space is
-a base-q code, the whole space is raised to the k-th power at once through
-the poset's single-step structure constants, and the survivors of f^k = f
-come back in code order. The same code/lookup arrays drive the fast sweep kernels.
+a base-q code, the whole space is raised to the k-th power at once by squaring
+through the poset's single-step structure constants, and the survivors of
+f^k = f come back in code order. The same code/lookup arrays drive the sweep.
 """
 
 from dataclasses import dataclass
@@ -17,7 +17,7 @@ from .algebra import (IncElement, basis_element, conjugate, conjugate_coeffs,
 from .errors import (BudgetExceeded, HypothesesNotMet, InternalConsistencyError,
                      NoPrimitiveRoot, NotConjugate, NotIdempotent, NotCommuting,
                      NotKPotent, StructureMismatch, UnsupportedField)
-from .field import primitive_root_of_unity, roots_of_unity
+from .field import power_by_squaring, primitive_root_of_unity, roots_of_unity
 
 DEFAULT_BUDGET = 1 << 20
 
@@ -74,9 +74,7 @@ def potent_code_tables(P, F, k, budget=DEFAULT_BUDGET):
     """
     _check_scan(P, F, k, budget)
     _, dig = space_digits(P, F)
-    fk = dig
-    for _ in range(k - 1):
-        fk = batch_convolve(fk, dig, P, F)
+    fk = power_by_squaring(lambda A, B: batch_convolve(A, B, P, F), dig, k)
     mask = (fk == dig).all(axis=1)
     codes = np.flatnonzero(mask).astype(np.int64)
     return codes, dig[codes].copy(), mask

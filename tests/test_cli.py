@@ -11,10 +11,16 @@ import sys
 import pytest
 
 import incalg
+import incalg.cli as cli
 import incalg.harness.verify as verify
 from incalg.algebra import conjugate, from_triples
 from incalg.cli import main
-from incalg.errors import InternalConsistencyError, RecompositionMismatch
+from incalg.errors import (BudgetExceeded, ClaimFailed, CycleError,
+                           DimensionMismatch, DisconnectedPoset, EmptyPoset,
+                           IncalgError, IncomparablePair,
+                           InternalConsistencyError, NoPrimitiveRoot,
+                           NotKPotent, RecompositionMismatch,
+                           StructureMismatch, UnknownLabel, UnsupportedField)
 from incalg.field import GF
 from incalg.poset import chain
 
@@ -355,15 +361,21 @@ def test_enumerate_potents_count_only(capsys):
 
 
 def test_enumerate_potents_budget_and_force(capsys):
+    # --budget alone lifts the refusal; there is no --force to run past it
     code, out = run(capsys, "enumerate-potents", "--poset", "chain:2",
                     "--field", "7", "--k", "4", "--budget", "10",
                     "--count-only")
     assert code == 2
+    assert out["error"] == "BudgetExceeded"
     code, out = run(capsys, "enumerate-potents", "--poset", "chain:2",
-                    "--field", "7", "--k", "4", "--budget", "10", "--force",
+                    "--field", "7", "--k", "4", "--budget", str(7 ** 3),
                     "--count-only")
     assert code == 0
     assert out["count"] == 88
+    with pytest.raises(SystemExit) as ei:
+        main(["enumerate-potents", "--poset", "chain:2", "--field", "7",
+              "--k", "4", "--budget", "10", "--force", "--count-only"])
+    assert ei.value.code == 2
 
 
 def test_poset_file_and_literal_agree(tmp_path, capsys):
@@ -379,9 +391,86 @@ def test_poset_file_and_literal_agree(tmp_path, capsys):
 
 
 def test_missing_poset_file(capsys):
-    code = main(["enumerate-potents", "--poset", "does-not-exist.poset",
-                 "--field", "2", "--k", "2", "--count-only"])
-    assert code == 2
+    assert run(capsys, "enumerate-potents", "--poset", "does-not-exist.poset",
+               "--field", "2", "--k", "2", "--count-only") == (
+        2, {"error": "FileNotFoundError",
+            "message": "poset file 'does-not-exist.poset' not found"})
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--poset", '{"relations": []}'),
+    ("verify", "--poset", '{"labels": [1, 2]}'),
+    ("verify", "--poset", '{"labels": 5, "relations": []}'),
+    ("verify", "--poset", '{"labels": [{"a": 1}], "relations": []}'),
+    ("verify", "--poset", ""),
+    ("verify", "--poset", "{dir}"),
+    ("decompose", "--poset", "chain:2", "--k", "3", "--map", "{dir}"),
+], ids=["no-labels", "no-relations", "labels-not-a-list", "unhashable-label",
+        "empty", "directory-poset", "directory-map"])
+def test_malformed_posets_and_directories_exit_two(tmp_path, argv):
+    argv = [a.replace("{dir}", str(tmp_path)) for a in argv]
+    extra = ["--theorem", "z2"] if argv[0] == "verify" else []
+    proc = subprocess.run(
+        [sys.executable, "-m", "incalg.cli", *argv, "--field", "2", *extra],
+        capture_output=True, text=True, env=CHILD_ENV)
+    assert proc.returncode == 2
+    assert set(json.loads(proc.stdout)) == {"error", "message"}
+    assert "Traceback" not in proc.stderr
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+# every error class and the exit code main gives it; a new class fails
+# this test until it is placed here on purpose
+PINNED_EXIT_CODES = {
+    2: {"EmptyPoset", "CycleError", "UnknownLabel", "IncomparablePair",
+        "StructureMismatch", "DimensionMismatch", "UnsupportedField",
+        "NoPrimitiveRoot", "DisconnectedPoset", "BudgetExceeded",
+        "UnsupportedRegime"},
+    1: {"DivisionByZero", "NotFound", "NotInvertible", "Singular",
+        "NotIdempotent", "NotCommuting", "NotKPotent", "HypothesesNotMet",
+        "NotConjugate", "NotJordanAutomorphism", "NotIdempotentPreserver",
+        "PhiDeltaNotScalar", "RootConditionFailed", "DownstreamJordanFailure",
+        "InternalConsistencyError", "LambdaNotOrderMap",
+        "RecompositionMismatch", "ThetaNotSingleBasisVector",
+        "ThetaNotBijective", "NuNotCentral", "ClaimFailed"},
+}
+
+
+def test_every_error_class_has_a_pinned_exit_code():
+    assert cli.REFUSALS == (
+        EmptyPoset, CycleError, UnknownLabel, IncomparablePair,
+        StructureMismatch, DimensionMismatch, UnsupportedField,
+        NoPrimitiveRoot, DisconnectedPoset, BudgetExceeded, ValueError,
+        OSError)
+    got = {1: set(), 2: set()}
+    for cls in set(_subclasses(IncalgError)):
+        got[2 if issubclass(cls, cli.REFUSALS) else 1].add(cls.__name__)
+    assert got == PINNED_EXIT_CODES
+
+
+@pytest.mark.parametrize("error,code", [
+    (BudgetExceeded("coefficient space too large", required=49), 2),
+    (FileNotFoundError("poset file 'x' not found"), 2),
+    (ValueError("k must be >= 2"), 2),
+    (NotKPotent("f^3 != f"), 1),
+    (ClaimFailed("demo d: claim failed: c", claims=[{"claim": "c",
+                                                       "ok": False}]), 1),
+], ids=["budget", "missing-file", "value", "not-potent", "claim-failed"])
+def test_main_maps_a_raised_error_to_its_exit_code(capsys, monkeypatch, error,
+                                                   code):
+    def raises(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_demo", raises)
+    want = {"error": type(error).__name__, "message": str(error)}
+    if isinstance(error, ClaimFailed):
+        want["claims"] = error.claims
+    assert run(capsys, "demo", "all") == (code, want)
 
 
 def test_verify_reports_a_failing_spot_sample(capsys, monkeypatch):

@@ -9,7 +9,8 @@ from incalg import field
 from incalg.errors import (DivisionByZero, NoPrimitiveRoot, NotFound,
                            UnsupportedField)
 from incalg.field import (GF, QQ, field_from_flag, multiplicative_order,
-                          primitive_root_of_unity, roots_of_unity)
+                          power_by_squaring, primitive_root_of_unity,
+                          roots_of_unity)
 
 SMALL_Q = [2, 3, 4, 5, 7, 8, 9]
 ALL_Q = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 37,
@@ -187,6 +188,35 @@ def test_from_int_and_char():
     assert GF(7).from_int(10) == 3
     assert GF(2).from_int(-1) == 1
     assert QQ().from_int(-3) == Fraction(-3)
+
+
+@pytest.mark.parametrize("q", SMALL_Q)
+def test_pow_matches_repeated_multiplication(q):
+    F = GF(q)
+    for a in range(1, q):
+        x = F.one
+        for n in range(2 * q):
+            assert F.pow_(a, n) == x
+            assert F.pow_(F.inv(a), n) == F.pow_(a, -n)
+            x = F.mul(x, a)
+    assert F.pow_(0, 0) == F.one and F.pow_(0, 5) == 0
+    assert QQ().pow_(Fraction(-2, 3), -3) == Fraction(-27, 8)
+
+
+def test_power_by_squaring_counts_products():
+    calls = []
+
+    def mul(a, b):
+        calls.append((a, b))
+        return a * b
+
+    for n in range(1, 70):
+        calls.clear()
+        assert power_by_squaring(mul, 3, n) == 3 ** n
+        assert len(calls) <= 2 * n.bit_length() - 1
+    calls.clear()
+    assert power_by_squaring(mul, 1, 2 ** 40 + 1) == 1
+    assert len(calls) == 41
 
 
 def test_unsupported_field_sizes():

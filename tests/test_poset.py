@@ -1,13 +1,15 @@
 """Poset construction, canonical pair order, and order-map enumeration."""
 
 import itertools
+import sys
 
 import pytest
 
+from incalg import poset as poset_module
 from incalg.errors import CycleError, EmptyPoset, IncomparablePair, UnknownLabel
-from incalg.poset import (OrderMap, antichain, chain, enumerate_order_maps,
-                          identity_order_map, is_connected, parse_poset,
-                          poset_from_relations)
+from incalg.poset import (OrderMap, Poset, antichain, chain,
+                          enumerate_order_maps, identity_order_map,
+                          is_connected, parse_poset, poset_from_relations)
 
 
 def fork():
@@ -64,6 +66,22 @@ def test_parse_poset_text_and_json():
     Q = parse_poset('{"labels": [1, 2, 3, 4], '
                     '"relations": [[1, 2], [2, 3], [1, 4]]}')
     assert Q.strict_pairs == fork().strict_pairs
+
+
+@pytest.mark.parametrize("text", [
+    "", "  \n\n", '{"relations": []}', '{"labels": [1, 2]}',
+    '{"labels": 5, "relations": []}', '{"labels": [1, 2], "relations": [1]}',
+    '{"labels": [1, 2], "relations": [[1, 2, 3]]}',
+    '{"labels": [{"a": 1}], "relations": []}',
+    '{"labels": [[1, [2]]], "relations": []}',
+    '{"labels": [1, 2], "relations": [[{"a": 1}, 2]]}',
+    "2\n1 < 2\n2 - 1\n",
+], ids=["empty", "blank", "no-labels", "no-relations", "labels-not-a-list",
+        "relation-not-a-pair", "relation-of-three", "unhashable-label",
+        "nested-list-label", "unhashable-relation-end", "bad-relation-line"])
+def test_malformed_poset_text_is_refused(text):
+    with pytest.raises((EmptyPoset, UnknownLabel)):
+        parse_poset(text)
 
 
 def test_labels_can_be_arbitrary():
@@ -141,3 +159,53 @@ def test_relabeling_gives_internal_indices_compatible_with_order():
     for i, j in P.pairs[P.n:]:
         assert i < j
     assert P.lt(30, 20)
+
+
+def _all_pairs_prod_terms(P):
+    # the reference: every pair scanned against every pair
+    return tuple(
+        tuple((b, P.pair_pos[(x, v)])
+              for b, (u, v) in enumerate(P.pairs) if y == u)
+        for x, y in P.pairs)
+
+
+@pytest.mark.parametrize("P", [chain(n) for n in range(1, 7)] + [
+    poset_from_relations([1, 2, 3], [(1, 2), (1, 3)]), fork(),
+    poset_from_relations([1, 2, 3, 4], [(1, 3), (1, 4), (2, 3), (2, 4)]),
+    poset_from_relations([1, 2, 3, 4], [(1, 2), (1, 3), (2, 4), (3, 4)]),
+], ids=[f"chain{n}" for n in range(1, 7)] + ["vee", "fork", "k22", "diamond"])
+def test_prod_terms_match_the_all_pairs_scan(P):
+    assert P.prod_terms == _all_pairs_prod_terms(P)
+
+
+def _traced_lines(build):
+    """Line events in poset.py while ``build`` runs: one per line started
+    and one per loop iteration, a count of work that does not depend on
+    the host's speed."""
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return local
+
+    def calls(frame, event, arg):
+        return local if frame.f_code.co_filename == poset_module.__file__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        build()
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+def test_building_a_poset_is_linear_in_its_structure_constants():
+    # the all-pairs scan costs dim^2 = 672,400 iterations on the 40-chain;
+    # the work allowed here is a small multiple of the pairs, the product
+    # terms and the n-point cover checks of each strict pair
+    P = chain(40)
+    terms = sum(len(row) for row in P.prod_terms)
+    lines = _traced_lines(lambda: Poset(P.labels, P._leq))
+    assert lines < 4 * (P.dim + terms + P.n_strict * P.n)

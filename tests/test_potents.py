@@ -68,6 +68,41 @@ def test_enumerate_requires_finite_field_and_budget():
     assert ei.value.required == 7 ** 6
 
 
+def _k_minus_one_products(P, F, k):
+    # the reference scan: the whole space multiplied by itself k - 1 times
+    _, dig = potents.space_digits(P, F)
+    fk = dig
+    for _ in range(k - 1):
+        fk = potents.batch_convolve(fk, dig, P, F)
+    return potents.np.flatnonzero((fk == dig).all(axis=1))
+
+
+@pytest.mark.parametrize("P", [chain(2), poset_from_relations(
+    [1, 2, 3], [(1, 2), (1, 3)])], ids=["chain2", "vee"])
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_potent_scan_matches_the_k_minus_one_products(P, q):
+    F = GF(q)
+    for k in range(2, 10):
+        codes, _, _ = potents.potent_code_tables(P, F, k)
+        assert codes.tolist() == _k_minus_one_products(P, F, k).tolist(), k
+
+
+def test_potent_scan_takes_logarithmically_many_products(monkeypatch):
+    # f^k for k = 2^20 + 1 by squaring: 20 squarings and 1 product; the
+    # k - 1 loop would take 2^20
+    calls = []
+    real = potents.batch_convolve
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(potents, "batch_convolve", counted)
+    codes, _, _ = potents.potent_code_tables(chain(1), GF(3), 2 ** 20 + 1)
+    assert codes.tolist() == [0, 1, 2]  # x^(2^20 + 1) = x over GF(3)
+    assert len(calls) <= 2 * 21
+
+
 def test_potent_budget_checked_after_cache_is_warm():
     # the potent cache is keyed by (P, F, k) alone; a budget too small for
     # the coefficient space is refused whether or not the scan was cached
