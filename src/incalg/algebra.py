@@ -32,9 +32,6 @@ class IncElement:
     def coeff(self, x, y):
         return self.coeffs[self.poset.pair_index(x, y)]
 
-    def __getitem__(self, xy):
-        return self.coeff(*xy)
-
     def diag_values(self):
         return self.coeffs[:self.poset.n]
 
@@ -45,12 +42,6 @@ class IncElement:
     def is_diagonal(self):
         z = self.field.zero
         return all(c == z for c in self.coeffs[self.poset.n:])
-
-    def support(self):
-        z = self.field.zero
-        P = self.poset
-        return tuple((P.labels[i], P.labels[j])
-                     for k, (i, j) in enumerate(P.pairs) if self.coeffs[k] != z)
 
     # --- arithmetic ---
 

@@ -192,8 +192,7 @@ def _recomposed_columns(P, F, b, binv, lam_hat, sigma_vals):
 def _require_idempotent_preserver(phi, budget):
     """Raise NotIdempotentPreserver, naming the first idempotent whose image
     is not idempotent, unless phi preserves idempotents; return the check."""
-    mode = "exhaustive" if phi.field.is_finite() else "sampled"
-    check = is_k_potent_preserver(phi, 2, mode=mode, budget=budget)
+    check = is_k_potent_preserver(phi, 2, budget)
     if not check:
         raise NotIdempotentPreserver(
             f"idempotent {check.witness!r} maps to a non-idempotent")
@@ -292,8 +291,7 @@ def scalar_split(phi, k, budget=DEFAULT_BUDGET):
         raise DisconnectedPoset("factorization needs a connected poset")
     if not is_bijective(phi):
         raise HypothesesNotMet("factorization covers bijective maps only")
-    mode = "exhaustive" if F.is_finite() else "sampled"
-    check = is_k_potent_preserver(phi, k, mode=mode, budget=budget)
+    check = is_k_potent_preserver(phi, k, budget)
     if not check:
         raise HypothesesNotMet(
             f"{k}-potent {check.witness!r} maps to a non-{k}-potent")
@@ -358,7 +356,7 @@ def _linmap_jsonable(phi):
 
 
 def _element_jsonable(f):
-    return [[x, y, c if isinstance(c, int) else str(c)] for x, y, c in f.to_triples()]
+    return [list(t) for t in f.to_triples()]
 
 
 def _jordan_factors(fact):

@@ -44,6 +44,8 @@ def _load_poset(spec):
         return chain(int(spec.split(":", 1)[1]))
     if spec.startswith("antichain:"):
         return antichain(int(spec.split(":", 1)[1]))
+    if not spec.strip():
+        return parse_poset(spec)  # EmptyPoset; Path("") would be "."
     path = pathlib.Path(spec)
     if path.exists():
         return parse_poset(path.read_text())

@@ -63,10 +63,6 @@ class DimensionMismatch(IncalgError):
     pass
 
 
-class Singular(IncalgError):
-    pass
-
-
 # --- potent machinery ---
 
 class BudgetExceeded(IncalgError):

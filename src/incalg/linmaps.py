@@ -16,10 +16,8 @@ from . import potents as _potents
 from .algebra import (IncElement, _delta_multiple, add_coeffs, basis_coeffs,
                       basis_element, conjugate_coeffs, convolve_coeffs, delta,
                       power_coeffs, scale_coeffs, sub_coeffs, try_inverse)
-from .errors import (DimensionMismatch, DisconnectedPoset, Singular,
-                     StructureMismatch)
+from .errors import DimensionMismatch, StructureMismatch
 from .field import roots_of_unity
-from .poset import is_connected
 
 
 class LinMap:
@@ -39,9 +37,6 @@ class LinMap:
     def image(self, j):
         """Image of the j-th basis element."""
         return IncElement(self.poset, self.field, self.cols[j])
-
-    def image_of_pair(self, x, y):
-        return self.image(self.poset.pair_index(x, y))
 
     @property
     def matrix(self):
@@ -175,40 +170,6 @@ def _rref(rows, F):
     return [rows[i] for i in range(r)], pivots
 
 
-def _kernel_basis(rows, width, F):
-    """Basis of {v : sum_k row[k] v[k] = 0 for every row}."""
-    red, pivots = _rref(rows, F)
-    z, one = F.zero, F.one
-    free = [c for c in range(width) if c not in pivots]
-    out = []
-    for fc in free:
-        v = [z] * width
-        v[fc] = one
-        for r, pc in enumerate(pivots):
-            v[pc] = F.neg(red[r][fc])
-        out.append(v)
-    return out
-
-
-def try_invert(phi):
-    """Inverse map, or Singular."""
-    P, F = phi.poset, phi.field
-    d = P.dim
-    z, one = F.zero, F.one
-    # rows of [M | I], M row-major
-    aug = []
-    for i in range(d):
-        row = [phi.cols[j][i] for j in range(d)]
-        row += [one if k == i else z for k in range(d)]
-        aug.append(row)
-    red, pivots = _rref(aug, F)
-    if pivots != list(range(d)):
-        raise Singular("map is not bijective")
-    inv_rows = [r[d:] for r in red[:d]]
-    cols = [[inv_rows[i][j] for i in range(d)] for j in range(d)]
-    return LinMap(P, F, cols)
-
-
 def is_bijective(phi):
     """Whether phi has full rank: one elimination of its matrix, on the
     first call only; the answer is kept on the map."""
@@ -216,71 +177,6 @@ def is_bijective(phi):
         _, pivots = _rref(phi.matrix, phi.field)
         phi._bijective = len(pivots) == phi.poset.dim
     return phi._bijective
-
-
-class Subspace:
-    """A subspace of an incidence algebra, held as a reduced echelon basis."""
-
-    __slots__ = ("poset", "field", "rows")
-
-    def __init__(self, poset, field, rows):
-        self.poset = poset
-        self.field = field
-        red, _ = _rref([list(r) for r in rows], field)
-        self.rows = tuple(tuple(r) for r in red)
-
-    @classmethod
-    def from_elements(cls, P, F, elements):
-        for f in elements:
-            if f.poset != P or f.field != F:
-                raise StructureMismatch("element from a different algebra")
-        return cls(P, F, [f.coeffs for f in elements])
-
-    @property
-    def dim(self):
-        return len(self.rows)
-
-    def basis(self):
-        return [IncElement(self.poset, self.field, r) for r in self.rows]
-
-    def contains(self, f):
-        if f.poset != self.poset or f.field != self.field:
-            raise StructureMismatch("element from a different algebra")
-        # f is in the span exactly when appending it keeps the rank
-        _, pivots = _rref([*self.rows, f.coeffs], self.field)
-        return len(pivots) == len(self.rows)
-
-    def orthogonal_complement(self):
-        width = self.poset.dim
-        rows = _kernel_basis([list(r) for r in self.rows], width, self.field)
-        return Subspace(self.poset, self.field, rows)
-
-    def __eq__(self, other):
-        return (isinstance(other, Subspace) and self.poset == other.poset
-                and self.field == other.field and self.rows == other.rows)
-
-    def __hash__(self):
-        return hash((self.poset, self.field, self.rows))
-
-    def __repr__(self):
-        return f"Subspace(dim={self.dim} of {self.poset.dim})"
-
-
-def subspace_intersection(subspaces):
-    """Intersection of a non-empty list of subspaces (exact, any field)."""
-    subspaces = list(subspaces)
-    if not subspaces:
-        raise ValueError("need at least one subspace")
-    first = subspaces[0]
-    P, F = first.poset, first.field
-    acc = first
-    for other in subspaces[1:]:
-        if other.poset != P or other.field != F:
-            raise StructureMismatch("subspaces over different structures")
-        perp_rows = (list(r) for r in
-                     acc.orthogonal_complement().rows + other.orthogonal_complement().rows)
-        acc = Subspace(P, F, list(perp_rows)).orthogonal_complement()
-    return acc
 
 
 # --- structured map builders ---
@@ -402,24 +298,23 @@ def _sampled_potents(P, F, k):
     return out
 
 
-def is_k_potent_preserver(phi, k, mode="exhaustive", budget=None):
+def is_k_potent_preserver(phi, k, budget=_potents.DEFAULT_BUDGET):
     """Whether phi maps every k-potent to a k-potent.
 
-    exhaustive mode enumerates all k-potents (finite field, budgeted) in
-    canonical code order, so the reported witness is the first violator;
-    sampled mode checks the structured families only and is a necessary
-    condition, not a proof.
+    The field picks the mode. Over GF(q) the check is exhaustive: it
+    enumerates all k-potents (budgeted) in canonical code order, so the
+    reported witness is the first violator. Over Q it is sampled: it checks
+    the structured families only and is a necessary condition, not a proof.
     """
     P, F = phi.poset, phi.field
-    if mode == "exhaustive":
-        kwargs = {} if budget is None else {"budget": budget}
-        pots = _potents.cached_potents(P, F, k, **kwargs).elements
-    elif mode == "sampled":
+    if F.is_finite():
+        mode = "exhaustive"
+        pots = _potents.cached_potents(P, F, k, budget).elements
+    else:
         if k < 2:
             raise ValueError("k must be >= 2")
+        mode = "sampled"
         pots = _sampled_potents(P, F, k)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
     # the potents live in phi's own algebra, so f^k = f is tested on raw
     # coefficient tuples with no per-potent structure check
     checked = 0
@@ -537,18 +432,6 @@ def is_algebra_automorphism(phi):
 
 def is_algebra_anti_automorphism(phi):
     return _is_algebra_iso(phi, anti=True)
-
-
-def is_shift_map(phi):
-    """Whether phi is bijective and (phi - id) takes values in the scalar
-    multiples of delta.
-
-    Only meaningful where the center is spanned by delta, so the poset must
-    be connected.
-    """
-    if not is_connected(phi.poset):
-        raise DisconnectedPoset("shift maps are defined against a scalar center")
-    return _has_shift_form(phi) and is_bijective(phi)
 
 
 def _has_shift_form(phi):

@@ -267,20 +267,6 @@ class OrderMap:
             return tuple(P.pair_pos[(p[j], p[i])] for i, j in P.pairs)
         return tuple(P.pair_pos[(p[i], p[j])] for i, j in P.pairs)
 
-    def compose(self, other):
-        """self after other."""
-        if self.poset != other.poset:
-            raise ValueError("order maps over different posets")
-        perm = tuple(self.perm[other.perm[i]] for i in range(self.poset.n))
-        kind = self.AUTO if self.kind == other.kind else self.ANTI
-        return OrderMap(self.poset, perm, kind)
-
-    def inverse(self):
-        inv = [0] * self.poset.n
-        for i, v in enumerate(self.perm):
-            inv[v] = i
-        return OrderMap(self.poset, inv, self.kind)
-
     def __eq__(self, other):
         return (isinstance(other, OrderMap) and self.poset == other.poset
                 and self.perm == other.perm and self.kind == other.kind)
@@ -290,10 +276,6 @@ class OrderMap:
 
     def __repr__(self):
         return f"OrderMap({self.mapping}, {self.kind})"
-
-
-def identity_order_map(P):
-    return OrderMap(P, range(P.n), OrderMap.AUTO)
 
 
 def enumerate_order_maps(P, kind=OrderMap.AUTO):

@@ -235,8 +235,6 @@ def conjugate_to_diagonal(f, k):
     HypothesesNotMet otherwise (there are k-potents with no diagonal
     conjugate when the root is missing, so no search is attempted).
     """
-    if not is_k_potent(f, k):
-        raise NotKPotent(f"element is not {k}-potent")
     spec = spectral_decompose(f, k)
     sigma = simultaneous_diagonalize(list(spec.idempotents))
     if conjugate(diagonal_part(f), sigma) != f:
@@ -248,14 +246,3 @@ def conjugate_to_diagonal(f, k):
             "diagonal of a k-potent outside 0 and (k-1)-th roots", f)
     return sigma
 
-
-def is_primitive_idempotent(e):
-    """Whether e is idempotent and conjugate to a single diagonal e_x."""
-    if convolve(e, e) != e:
-        raise NotIdempotent("element is not idempotent")
-    if e.is_zero():
-        return False
-    conjugate_to_diagonal(e, 2)  # verifies e = sigma e_D sigma^-1
-    F = e.field
-    ones = [v for v in e.diag_values() if v != F.zero]
-    return len(ones) == 1

@@ -403,10 +403,11 @@ def test_missing_poset_file(capsys):
     ("verify", "--poset", '{"labels": 5, "relations": []}'),
     ("verify", "--poset", '{"labels": [{"a": 1}], "relations": []}'),
     ("verify", "--poset", ""),
+    ("verify", "--poset", "   "),
     ("verify", "--poset", "{dir}"),
     ("decompose", "--poset", "chain:2", "--k", "3", "--map", "{dir}"),
 ], ids=["no-labels", "no-relations", "labels-not-a-list", "unhashable-label",
-        "empty", "directory-poset", "directory-map"])
+        "empty", "blank", "directory-poset", "directory-map"])
 def test_malformed_posets_and_directories_exit_two(tmp_path, argv):
     argv = [a.replace("{dir}", str(tmp_path)) for a in argv]
     extra = ["--theorem", "z2"] if argv[0] == "verify" else []
@@ -414,7 +415,10 @@ def test_malformed_posets_and_directories_exit_two(tmp_path, argv):
         [sys.executable, "-m", "incalg.cli", *argv, "--field", "2", *extra],
         capture_output=True, text=True, env=CHILD_ENV)
     assert proc.returncode == 2
-    assert set(json.loads(proc.stdout)) == {"error", "message"}
+    out = json.loads(proc.stdout)
+    assert set(out) == {"error", "message"}
+    if not argv[2].strip():
+        assert out["error"] == "EmptyPoset"
     assert "Traceback" not in proc.stderr
 
 
@@ -431,9 +435,9 @@ PINNED_EXIT_CODES = {
         "StructureMismatch", "DimensionMismatch", "UnsupportedField",
         "NoPrimitiveRoot", "DisconnectedPoset", "BudgetExceeded",
         "UnsupportedRegime"},
-    1: {"DivisionByZero", "NotFound", "NotInvertible", "Singular",
-        "NotIdempotent", "NotCommuting", "NotKPotent", "HypothesesNotMet",
-        "NotConjugate", "NotJordanAutomorphism", "NotIdempotentPreserver",
+    1: {"DivisionByZero", "NotFound", "NotInvertible", "NotIdempotent",
+        "NotCommuting", "NotKPotent", "HypothesesNotMet", "NotConjugate",
+        "NotJordanAutomorphism", "NotIdempotentPreserver",
         "PhiDeltaNotScalar", "RootConditionFailed", "DownstreamJordanFailure",
         "InternalConsistencyError", "LambdaNotOrderMap",
         "RecompositionMismatch", "ThetaNotSingleBasisVector",

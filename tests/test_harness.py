@@ -83,11 +83,14 @@ def test_enumerate_gl_order_is_pinned(P, q, count, digest):
     assert _code_stream_sha256(maps) == digest
 
 
-def _reference_preserver_check(phi, k, mode="exhaustive"):
-    """The per-potent loop on elements: apply the map, then test f^k = f."""
+def _reference_preserver_check(phi, k):
+    """The per-potent loop on elements: apply the map, then test f^k = f;
+    all potents over GF(q), the sampled ones over Q."""
     P, F = phi.poset, phi.field
-    pots = (potents.enumerate_k_potents(P, F, k) if mode == "exhaustive"
-            else linmaps._sampled_potents(P, F, k))
+    if F.is_finite():
+        mode, pots = "exhaustive", potents.enumerate_k_potents(P, F, k)
+    else:
+        mode, pots = "sampled", linmaps._sampled_potents(P, F, k)
     for checked, f in enumerate(pots, start=1):
         if not is_k_potent(apply_map(phi, f), k):
             return False, f, mode, checked
@@ -135,21 +138,19 @@ def test_sampled_preserver_check_matches_the_element_loop():
             if rng.random() < 0.5:
                 phi = scale_map(phi, -1)
         for k in (2, 3):
-            got = is_k_potent_preserver(phi, k, mode="sampled")
-            assert _check_tuple(got) == _reference_preserver_check(phi, k, "sampled")
+            got = is_k_potent_preserver(phi, k)
+            assert _check_tuple(got) == _reference_preserver_check(phi, k)
             verdicts.add((k, got.ok))
     assert verdicts == {(2, True), (2, False), (3, True), (3, False)}
 
 
 def test_preserver_check_refusal_order():
-    # an unknown mode, then k < 2, then the budget (27 codes here)
+    # k < 2 over either field, then the budget (27 codes here)
     phi = identity_map(chain(2), GF(3))
-    with pytest.raises(ValueError, match="unknown mode"):
-        is_k_potent_preserver(phi, 1, mode="bogus", budget=26)
     with pytest.raises(ValueError, match="k must be >= 2"):
         is_k_potent_preserver(phi, 1, budget=26)
     with pytest.raises(ValueError, match="k must be >= 2"):
-        is_k_potent_preserver(phi, 1, mode="sampled")
+        is_k_potent_preserver(identity_map(chain(2), QQ()), 1)
     with pytest.raises(BudgetExceeded):
         is_k_potent_preserver(phi, 2, budget=26)
 

@@ -1,4 +1,4 @@
-"""Linear maps: constructors, predicates, serialization, subspaces."""
+"""Linear maps: constructors, predicates, serialization."""
 
 import itertools
 import random
@@ -10,23 +10,19 @@ import incalg.linmaps as linmaps
 from incalg.algebra import (IncElement, basis_element, convolve, delta,
                             from_triples, is_k_potent, jordan_product,
                             lie_bracket, try_inverse)
-from incalg.errors import (DimensionMismatch, Singular, StructureMismatch)
+from incalg.errors import DimensionMismatch, StructureMismatch
 from incalg.field import GF, QQ
 from incalg.harness.families import jordan_like_maps
-from incalg.harness.kernels import linmap_from_codes, sweep_gl
-from incalg.linmaps import (LinMap, Subspace, apply_map, compose,
-                            conjugation_map, format_linmap,
-                            has_idempotent_diagonal_images, identity_map,
-                            is_algebra_anti_automorphism,
+from incalg.linmaps import (LinMap, apply_map, compose, conjugation_map,
+                            format_linmap, has_idempotent_diagonal_images,
+                            identity_map, is_algebra_anti_automorphism,
                             is_algebra_automorphism, is_bijective,
                             is_jordan_homomorphism, is_k_potent_preserver,
                             is_lie_homomorphism, is_multiplicative_coeffs,
-                            is_shift_map, linmap_from_images,
-                            linmap_from_pair_images, multiplicative_map,
-                            order_induced_map, parse_linmap,
-                            preserves_jordan_products, scale_map,
-                            shift_from_functional, subspace_intersection,
-                            try_invert)
+                            linmap_from_images, linmap_from_pair_images,
+                            multiplicative_map, order_induced_map,
+                            parse_linmap, preserves_jordan_products,
+                            scale_map, shift_from_functional)
 from incalg.linmaps import (_aba, _abc_cba, _bracket, _jordan,
                             _reversed_product, _sampled_potents, _square)
 from incalg.poset import chain, enumerate_order_maps, poset_from_relations
@@ -76,7 +72,7 @@ def test_order_induced_anti_automorphism():
     assert is_algebra_anti_automorphism(phi)
     assert not is_algebra_automorphism(phi)
     # e_{1,2} goes to e_{rev(2), rev(1)} = e_{2,3}
-    assert phi.image_of_pair(1, 2) == basis_element(P, F, 2, 3)
+    assert phi.image(P.pair_index(1, 2)) == basis_element(P, F, 2, 3)
 
 
 def test_multiplicative_map_and_coeff_predicate():
@@ -120,15 +116,18 @@ def test_shift_maps():
     P, F = chain(2), GF(2)
     svals = [0, 0, 1]
     phi = shift_from_functional(P, F, svals)
-    assert is_shift_map(phi)
     assert is_bijective(phi)
     d = delta(P, F)
+    # phi - id takes values in the multiples of delta
+    multiples = {d.scale(c) for c in range(F.q)}
+    for x, y in P.comparable_pairs():
+        e = basis_element(P, F, x, y)
+        assert apply_map(phi, e) - e in multiples
     e12 = basis_element(P, F, 1, 2)
     assert apply_map(phi, e12) == e12 + d
     # a functional hitting delta with -1 kills bijectivity
     degenerate = shift_from_functional(P, F, [1, 0, 0])
     assert not is_bijective(degenerate)
-    assert not is_shift_map(degenerate)
     with pytest.raises(DimensionMismatch):
         shift_from_functional(P, F, [0, 1])
 
@@ -153,12 +152,12 @@ def test_preserver_exhaustive_vs_sampled():
     b = from_triples(P, F, [(1, 1, 2), (2, 2, 1), (1, 2, 3)])
     phi = conjugation_map(b)
     for k in (2, 3):
-        assert is_k_potent_preserver(phi, k, mode="exhaustive")
-        assert is_k_potent_preserver(phi, k, mode="sampled")
-    # sampled mode is the only option over the rationals
-    PQ, FQ = chain(2), QQ()
-    ident = identity_map(PQ, FQ)
-    assert is_k_potent_preserver(ident, 3, mode="sampled")
+        check = is_k_potent_preserver(phi, k)
+        assert check and check.mode == "exhaustive"
+    # the field picks the mode: over the rationals the check is sampled
+    ident = identity_map(chain(2), QQ())
+    check = is_k_potent_preserver(ident, 3)
+    assert check and check.mode == "sampled"
 
 
 def test_scale_map_and_potency_interaction():
@@ -190,10 +189,17 @@ def _is_onto(phi):
                 for c in itertools.product(range(F.q), repeat=P.dim)}) == F.q ** P.dim
 
 
-def _inverts_both_sides(phi):
-    inv = try_invert(phi)
-    ident = identity_map(phi.poset, phi.field)
-    return compose(phi, inv) == ident and compose(inv, phi) == ident
+def _leibniz_det(rows):
+    """Determinant over the rationals as the signed sum over permutations."""
+    det = Fraction(0)
+    for perm in itertools.permutations(range(len(rows))):
+        inversions = sum(perm[i] > perm[j]
+                         for i, j in itertools.combinations(range(len(perm)), 2))
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        det += term
+    return det
 
 
 def test_elimination_on_whole_spaces_and_samples():
@@ -202,12 +208,6 @@ def test_elimination_on_whole_spaces_and_samples():
     flags = [is_bijective(phi) for phi in maps]
     assert sum(flags) == 168  # |GL(3, 2)|
     assert flags == [_is_onto(phi) for phi in maps]
-    for phi, bij in zip(maps, flags):
-        if bij:
-            assert _inverts_both_sides(phi)
-        else:
-            with pytest.raises(Singular):
-                try_invert(phi)
 
     for F, seed in ((GF(4), 1), (GF(9), 2)):
         maps = _random_maps(P, F, 60, seed)
@@ -220,26 +220,21 @@ def test_elimination_on_whole_spaces_and_samples():
         flags = [is_bijective(phi) for phi in maps]
         assert flags == [_is_onto(phi) for phi in maps]
         assert 0 < sum(flags) < len(maps)
-        for phi, bij in zip(maps, flags):
-            if bij:
-                assert _inverts_both_sides(phi)
-            else:
-                with pytest.raises(Singular):
-                    try_invert(phi)
 
     P, F = poset_from_relations([1, 2, 3], [(1, 2), (1, 3)]), QQ()
     rng = random.Random(3)
+    flags = []
     for _ in range(40):
         cols = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
                  for _ in range(P.dim)] for _ in range(P.dim)]
         phi = LinMap(P, F, cols)
-        if is_bijective(phi):
-            assert _inverts_both_sides(phi)
+        flags.append(is_bijective(phi))
+        assert flags[-1] == (_leibniz_det(phi.matrix) != 0)
         cols[4] = [a - 2 * b for a, b in zip(cols[0], cols[3])]
         singular = LinMap(P, F, cols)
+        assert _leibniz_det(singular.matrix) == 0
         assert not is_bijective(singular)
-        with pytest.raises(Singular):
-            try_invert(singular)
+    assert 0 < sum(flags)
 
 
 def test_tuple_laws_equal_the_element_laws():
@@ -265,19 +260,6 @@ def test_tuple_laws_equal_the_element_laws():
                         + convolve(convolve(h, g), f)).coeffs)
 
 
-def test_try_invert_and_singular():
-    P, F = chain(2), GF(3)
-    sigma = from_triples(P, F, [(1, 1, 1), (2, 2, 1), (1, 2, 2)])
-    phi = multiplicative_map(sigma)
-    inv = try_invert(phi)
-    assert compose(phi, inv) == identity_map(P, F)
-    rank_deficient = linmap_from_images(
-        P, F, [delta(P, F), delta(P, F), basis_element(P, F, 1, 2)])
-    with pytest.raises(Singular):
-        try_invert(rank_deficient)
-    assert not is_bijective(rank_deficient)
-
-
 def test_format_parse_round_trip():
     P, F = chain(2), GF(4)
     phi = linmap_from_pair_images(P, F, {
@@ -292,40 +274,6 @@ def test_format_parse_round_trip():
         parse_linmap(P, GF(2), text)
     with pytest.raises(DimensionMismatch):
         parse_linmap(chain(3), GF(4), text)
-
-
-def test_subspace_basics():
-    P, F = chain(2), GF(3)
-    s = Subspace.from_elements(P, F, [delta(P, F), delta(P, F).scale(2),
-                                      basis_element(P, F, 1, 2)])
-    assert s.dim == 2
-    assert s.contains(delta(P, F) + basis_element(P, F, 1, 2).scale(2))
-    assert not s.contains(basis_element(P, F, 1, 1))
-
-
-def _centralizer_subspace(P, F, A):
-    from incalg.algebra import centralizer_basis
-    return Subspace.from_elements(P, F, centralizer_basis(P, F, A))
-
-
-@pytest.mark.parametrize("F", [GF(2), GF(3)])
-@pytest.mark.parametrize("make", [lambda: chain(3), fork])
-def test_intersection_of_centralizers_pins_one_corner(F, make):
-    # over every subset A containing both x and y, the centralizers of e_A
-    # meet exactly in the diagonal plus the single corner e_xy
-    P = make()
-    labels = set(P.labels)
-    for (x, y) in P.strict_pairs:
-        rest = sorted(labels - {x, y})
-        spaces = []
-        for r in range(len(rest) + 1):
-            for extra in itertools.combinations(rest, r):
-                spaces.append(_centralizer_subspace(P, F, {x, y} | set(extra)))
-        meet = subspace_intersection(spaces)
-        expected = Subspace.from_elements(
-            P, F, [basis_element(P, F, z, z) for z in P.labels]
-            + [basis_element(P, F, x, y)])
-        assert meet.rows == expected.rows
 
 
 def test_linmap_eq_hash_and_validation():
@@ -574,19 +522,3 @@ def test_sampled_potents_on_larger_posets_are_potent(P, F, k):
         assert (basis_element(P, F, y, y) + basis_element(P, F, x, y)
                 + basis_element(P, F, y, v)
                 + basis_element(P, F, x, v)).coeffs in coeffs
-
-
-@pytest.mark.parametrize("P,q,limit,count", [
-    (chain(3), 2, 300, 512),
-    (poset_from_relations([1, 2, 3], [(1, 2), (1, 3)]), 3, None, 72),
-    (chain(3), 3, None, 216),
-], ids=["chain3-gf2", "vee-gf3", "chain3-gf3"])
-def test_sampled_mode_accepts_every_exhaustive_preserver(P, q, limit, count):
-    # sampled mode is a necessary condition: it never refuses a map the
-    # exhaustive check accepts
-    F = GF(q)
-    rows = sweep_gl(P, F, 2).preservers
-    assert rows.shape[0] == count
-    for row in rows[:limit]:
-        phi = linmap_from_codes(P, F, tuple(int(v) for v in row))
-        assert is_k_potent_preserver(phi, 2, mode="sampled")

@@ -15,8 +15,8 @@ from incalg.field import GF, QQ, primitive_root_of_unity, roots_of_unity
 from incalg.harness.kernels import linmap_from_codes, sweep_gl
 from incalg.poset import chain, poset_from_relations
 from incalg.potents import (conjugate_to_diagonal, enumerate_k_potents,
-                            is_primitive_idempotent, sample_k_potents,
-                            simultaneous_diagonalize, spectral_decompose)
+                            sample_k_potents, simultaneous_diagonalize,
+                            spectral_decompose)
 
 
 def brute_force_potents(P, F, k):
@@ -138,6 +138,8 @@ def test_spectral_rejects_non_potents_and_missing_roots():
     f = from_triples(P, GF(5), [(1, 1, 2)])
     with pytest.raises(NotKPotent):
         spectral_decompose(f, 3)
+    with pytest.raises(NotKPotent):
+        conjugate_to_diagonal(f, 3)
     g = delta(P, GF(2)) + basis_element(P, GF(2), 1, 2)
     assert is_k_potent(g, 3)
     with pytest.raises(HypothesesNotMet):
@@ -291,17 +293,6 @@ def test_sampler_produces_potents():
     for F, k in ((GF(5), 3), (GF(7), 4), (QQ(), 3)):
         for f in sample_k_potents(chain(2), F, k, 40, rng):
             assert power(f, k) == f
-
-
-def test_primitive_idempotents():
-    P, F = chain(2), GF(3)
-    e1 = basis_element(P, F, 1, 1)
-    assert is_primitive_idempotent(e1)
-    assert is_primitive_idempotent(e1 + basis_element(P, F, 1, 2))
-    assert not is_primitive_idempotent(delta(P, F))
-    assert not is_primitive_idempotent(zero(P, F))
-    with pytest.raises(NotIdempotent):
-        is_primitive_idempotent(basis_element(P, F, 1, 2))
 
 
 def test_spectral_over_rationals():
