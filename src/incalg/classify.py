@@ -119,20 +119,17 @@ def jordan_decompose(phi):
     if sorted(lam) != list(range(P.n)):
         raise LambdaNotOrderMap("induced vertex map is not a bijection", detail=lam)
 
-    strict = P.pairs[P.n:]
-    preserves = all(P._leq[lam[i]][lam[j]] for i, j in strict)
-    reverses = all(P._leq[lam[j]][lam[i]] for i, j in strict)
-    if preserves:
-        kind = OrderMap.AUTO
-    elif reverses:
-        kind = OrderMap.ANTI
+    # a bijective monotone (antitone) map of a finite poset is an order
+    # (anti-)automorphism, so the first kind whose law holds is the kind
+    for kind in (OrderMap.AUTO, OrderMap.ANTI):
+        try:
+            order_map = OrderMap(P, lam, kind)
+            break
+        except ValueError:
+            continue
     else:
         raise LambdaNotOrderMap("induced vertex map is neither monotone nor antitone",
                                 detail=lam)
-    try:
-        order_map = OrderMap(P, lam, kind)
-    except ValueError as e:
-        raise LambdaNotOrderMap(str(e), detail=lam) from e
     lam_hat = order_map.basis_perm()
 
     # potents.simultaneous_diagonalize specialized to orthogonal idempotents

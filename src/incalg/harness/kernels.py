@@ -199,14 +199,20 @@ def _completions(tab):
     return out
 
 
+def _children(tab, prefixes, allowed):
+    """Every prefix extended by each ``allowed`` code outside its span: the
+    parent row of each child, and the children."""
+    rows, cands = np.nonzero(~_spans(tab, prefixes) & allowed)
+    return rows, np.concatenate([prefixes[rows], cands[:, None]], axis=1)
+
+
 def _idempotent_frames(tab, idem):
     """The number of ordered n-tuples of independent codes in the membership
     table ``idem``: the choices for the diagonal columns of a map in GL with
     idempotent diagonal images."""
     frames = np.zeros((1, 0), dtype=np.int64)
     for _ in range(tab.n):
-        rows, cands = np.nonzero(~_spans(tab, frames) & idem)
-        frames = np.concatenate([frames[rows], cands[:, None]], axis=1)
+        _, frames = _children(tab, frames, idem)
     return len(frames)
 
 
@@ -247,8 +253,7 @@ class _Search:
         test the constraints decided at ``depth``, drop the nodes with no
         alive flag, and descend into the rest chunk by chunk."""
         tab = self.tab
-        rows, cands = np.nonzero(~_spans(tab, prefixes) & allowed)
-        cols = np.concatenate([prefixes[rows], cands[:, None]], axis=1)
+        rows, cols = _children(tab, prefixes, allowed)
         alive = alive[rows]  # a child starts with its parent's flags
         pres = _keep_potents(tab, self.lookup, cols,
                              np.flatnonzero(alive[:, 0]), self.pots[depth])

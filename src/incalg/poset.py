@@ -290,14 +290,10 @@ def enumerate_order_maps(P, kind=OrderMap.AUTO):
 
     def fits(i, y):
         for x in range(i):
-            fwd = P._leq[x][i]
-            bwd = P._leq[i][x]
-            if kind == OrderMap.AUTO:
-                if fwd != P._leq[perm[x]][y] or bwd != P._leq[y][perm[x]]:
-                    return False
-            else:
-                if fwd != P._leq[y][perm[x]] or bwd != P._leq[perm[x]][y]:
-                    return False
+            # the anti law is the auto law with the images swapped
+            a, b = (perm[x], y) if kind == OrderMap.AUTO else (y, perm[x])
+            if P._leq[x][i] != P._leq[a][b] or P._leq[i][x] != P._leq[b][a]:
+                return False
         return True
 
     def rec(i):

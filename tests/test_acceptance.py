@@ -12,40 +12,27 @@ import time
 
 import pytest
 
-from incalg.algebra import (IncElement, centralizer_basis, conjugate,
-                            convolve, convolve_coeffs, diagonal_part, e_A,
-                            power, try_inverse, zero)
+from incalg.algebra import (centralizer_basis, conjugate, convolve,
+                            convolve_coeffs, diagonal_part, e_A, power,
+                            try_inverse, zero)
 from incalg.classify import jordan_decompose, scalar_split, z2_decompose
 from incalg.field import GF, QQ, roots_of_unity
 from incalg.harness.demos import run_all_demos
 from incalg.harness.gl import gl_order
-from incalg.harness.kernels import linmap_from_codes, sweep_gl
 from incalg.harness.verify import verify_theorem
 from incalg.linmaps import compose
-from incalg.poset import chain, poset_from_relations
+from incalg.poset import chain
 from incalg.potents import (conjugate_to_diagonal, enumerate_k_potents,
                             sample_k_potents, simultaneous_diagonalize,
                             spectral_decompose)
 
+from toolkit import all_elements, fork, span_codes, swept_preservers, vee
+
 TWO_CHAIN = chain(2)
-
-
-def vee():
-    return poset_from_relations([1, 2, 3], [(1, 2), (1, 3)])
-
-
-def fork():
-    return poset_from_relations([1, 2, 3, 4], [(1, 2), (2, 3), (1, 4)])
 
 
 def _passed(n, text):
     print(f"ACCEPTANCE PASS criterion-{n}: {text}")
-
-
-def _preserver_maps(P, F, k):
-    res = sweep_gl(P, F, k)
-    return [linmap_from_codes(P, F, tuple(int(v) for v in row))
-            for row in res.preservers]
 
 
 def test_criterion_1_gf2_preservers_are_shift_compose_lie():
@@ -55,7 +42,7 @@ def test_criterion_1_gf2_preservers_are_shift_compose_lie():
         assert report.n_maps == order == gl_order(P.dim, 2)
         assert report.match, report.notes
         # every preserver must factor, with exact recomposition
-        for phi in _preserver_maps(P, GF(2), 2):
+        for phi in swept_preservers(P, GF(2), 2):
             fact = z2_decompose(phi)
             assert compose(fact.shift, fact.lie_part) == phi
         counts.append(report.preserver_count)
@@ -69,7 +56,7 @@ def test_criterion_2_gf3_preservers_are_jordan_automorphisms():
     assert report.n_maps == 11_232
     assert report.match, report.notes
     kinds = set()
-    for phi in _preserver_maps(TWO_CHAIN, GF(3), 2):
+    for phi in swept_preservers(TWO_CHAIN, GF(3), 2):
         fact = jordan_decompose(phi)
         assert fact.order_map.kind in ("automorphism", "anti_automorphism")
         assert fact.recompose() == phi
@@ -95,7 +82,7 @@ def test_criterion_4_gf5_tripotent_preservers_scalar_split():
     assert report.n_maps == 1_488_000
     assert report.match, report.notes
     seen_r = set()
-    for phi in _preserver_maps(TWO_CHAIN, F, 3):
+    for phi in swept_preservers(TWO_CHAIN, F, 3):
         split = scalar_split(phi, 3)
         assert split.r in (1, 4)  # the square roots of unity
         assert split.psi_kind in ("automorphism", "anti_automorphism")
@@ -112,7 +99,7 @@ def test_criterion_5_gf7_fourpotent_preservers_scalar_split():
     assert report.n_maps == 33_784_128
     assert report.match, report.notes
     cube_roots = set(roots_of_unity(F, 3))
-    for phi in _preserver_maps(TWO_CHAIN, F, 4):
+    for phi in swept_preservers(TWO_CHAIN, F, 4):
         split = scalar_split(phi, 4)
         assert split.r in cube_roots
         assert F.pow_(split.r, 3) == F.one
@@ -183,21 +170,6 @@ def test_criterion_9_verify_beyond_brute_force(make, q, theorem, preservers):
                f"in {elapsed:.2f}s")
 
 
-def _all_elements(P, F):
-    for coeffs in itertools.product(range(F.q), repeat=P.dim):
-        yield IncElement(P, F, coeffs)
-
-
-def _span_codes(P, F, basis):
-    span = set()
-    for cs in itertools.product(range(F.q), repeat=len(basis)):
-        acc = zero(P, F)
-        for c, b in zip(cs, basis):
-            acc = acc + b.scale(c)
-        span.add(acc.coeffs)
-    return span
-
-
 def test_criterion_8_structural_oracles():
     checked_pairs = 0
     for F in (GF(2), GF(3)):
@@ -218,9 +190,9 @@ def test_criterion_8_structural_oracles():
             for r in range(len(labels) + 1):
                 for A in itertools.combinations(labels, r):
                     g = e_A(P, F, list(A))
-                    brute = {f.coeffs for f in _all_elements(P, F)
+                    brute = {f.coeffs for f in all_elements(P, F)
                              if convolve(f, g) == convolve(g, f)}
-                    span = _span_codes(P, F, centralizer_basis(P, F, A))
+                    span = span_codes(P, F, centralizer_basis(P, F, A))
                     assert span == brute
                     commutants += 1
 

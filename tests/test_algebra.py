@@ -15,15 +15,12 @@ from incalg.algebra import (IncElement, as_scalar_multiple_of_delta,
                             zero)
 from incalg.errors import NotInvertible, StructureMismatch
 from incalg.field import GF, QQ
-from incalg.poset import antichain, chain, poset_from_relations
+from incalg.poset import antichain, chain
+
+from toolkit import all_elements, fork, span_codes, vee
 
 P3 = chain(3)
 F3 = GF(3)
-
-
-def all_elements(P, F):
-    for coeffs in itertools.product(range(F.q), repeat=P.dim):
-        yield IncElement(P, F, coeffs)
 
 
 def test_basis_product_rule():
@@ -143,16 +140,9 @@ def test_centralizer_matches_brute_force_commutant():
     P, F = chain(2), GF(3)
     for A in ([], [1], [2], [1, 2]):
         g = e_A(P, F, A)
-        basis = centralizer_basis(P, F, A)
         brute = {f.coeffs for f in all_elements(P, F)
                  if convolve(f, g) == convolve(g, f)}
-        span = set()
-        for cs in itertools.product(range(F.q), repeat=len(basis)):
-            acc = zero(P, F)
-            for c, b in zip(cs, basis):
-                acc = acc + b.scale(c)
-            span.add(acc.coeffs)
-        assert span == brute
+        assert span_codes(P, F, centralizer_basis(P, F, A)) == brute
 
 
 def test_centralizer_of_e_A_size():
@@ -215,16 +205,8 @@ def _convolve_by_definition(f, g):
     return tuple(out)
 
 
-def _vee():
-    return poset_from_relations([1, 2, 3], [(1, 2), (1, 3)])
-
-
-def _fork():
-    return poset_from_relations([1, 2, 3, 4], [(1, 2), (2, 3), (1, 4)])
-
-
 @pytest.mark.parametrize("make,q", [(lambda: chain(2), 3), (lambda: chain(2), 4),
-                                    (_vee, 2)],
+                                    (vee, 2)],
                          ids=["chain2-gf3", "chain2-gf4", "vee-gf2"])
 def test_convolve_equals_the_interval_sum_on_every_pair(make, q):
     P, F = make(), GF(q)
@@ -235,7 +217,7 @@ def test_convolve_equals_the_interval_sum_on_every_pair(make, q):
 
 @pytest.mark.parametrize("F", [GF(5), QQ()], ids=["gf5", "Q"])
 def test_convolve_equals_the_interval_sum_on_seeded_fork_pairs(F):
-    P = _fork()
+    P = fork()
     rng = random.Random(20261018)
 
     def draw():

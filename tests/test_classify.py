@@ -18,25 +18,15 @@ from incalg.errors import (DisconnectedPoset, HypothesesNotMet, IncalgError,
 from incalg.field import GF, QQ
 from incalg.harness.families import jordan_like_maps
 from incalg.harness.gl import enumerate_gl
-from incalg.harness.kernels import linmap_from_codes, sweep_gl
 from incalg.linmaps import (LinMap, apply_map, compose, conjugation_map,
                             identity_map, is_jordan_homomorphism,
                             is_k_potent_preserver,
                             linmap_from_images, linmap_from_pair_images,
                             multiplicative_map, order_induced_map, scale_map,
                             shift_from_functional)
-from incalg.poset import (antichain, chain, enumerate_order_maps,
-                          poset_from_relations)
+from incalg.poset import antichain, chain, enumerate_order_maps
 
-
-def vee():
-    return poset_from_relations([1, 2, 3], [(1, 2), (1, 3)])
-
-
-def swept_preservers(P, F, k):
-    res = sweep_gl(P, F, k)
-    return [linmap_from_codes(P, F, tuple(int(v) for v in row))
-            for row in res.preservers]
+from toolkit import swept_preservers, vee
 
 
 def jordan_map(P, F, beta_triples, kind, sigma_triples):
@@ -70,10 +60,9 @@ def test_jordan_decompose_anti_kind():
 
 def test_jordan_decompose_every_preserver_gf3():
     P, F = chain(2), GF(3)
-    res = sweep_gl(P, F, 2, backend=None)
-    assert res.preservers.shape[0] == 12
-    for row in res.preservers:
-        phi = linmap_from_codes(P, F, tuple(int(v) for v in row))
+    maps = swept_preservers(P, F, 2)
+    assert len(maps) == 12
+    for phi in maps:
         fact = jordan_decompose(phi)
         assert fact.recompose() == phi
 

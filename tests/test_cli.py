@@ -195,11 +195,10 @@ def test_verify_survives_closed_stdout():
 
 
 def test_verify_rejects_numba_backend():
-    proc = subprocess.run(
-        [sys.executable, "-m", "incalg.cli", "verify", "--poset", "chain:2",
-         "--field", "2", "--theorem", "z2", "--backend", "numba"],
-        capture_output=True, text=True, env=CHILD_ENV)
-    assert proc.returncode == 2
+    with pytest.raises(SystemExit) as ei:
+        main(["verify", "--poset", "chain:2", "--field", "2", "--theorem",
+              "z2", "--backend", "numba"])
+    assert ei.value.code == 2
 
 
 def test_decompose_scalar_multiple_of_identity(capsys, monkeypatch):
@@ -327,15 +326,16 @@ def test_spectral_many_idempotents_exits_zero(capsys):
 ], ids=["code-out-of-range", "float", "bare-int", "null", "negative-code",
         "bool", "two-items", "number", "object", "q-zero-denominator-element",
         "q-zero-denominator-map"])
-def test_malformed_scalars_and_triples_exit_two(field, command, payload):
+def test_malformed_scalars_and_triples_exit_two(capsys, monkeypatch, field,
+                                                command, payload):
     flag = "--element" if command == "spectral" else "--map"
-    proc = subprocess.run(
-        [sys.executable, "-m", "incalg.cli", command, "--poset", "chain:2",
-         "--field", field, "--k", "3", flag, "-"],
-        input=payload, capture_output=True, text=True, env=CHILD_ENV)
-    assert proc.returncode == 2
-    assert "error" in json.loads(proc.stdout)
-    assert "Traceback" not in proc.stderr
+    monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+    code = main([command, "--poset", "chain:2", "--field", field, "--k", "3",
+                 flag, "-"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert set(json.loads(out)) == {"error", "message"}
+    assert err == ""
 
 
 def test_demo_all(capsys):
@@ -408,18 +408,17 @@ def test_missing_poset_file(capsys):
     ("decompose", "--poset", "chain:2", "--k", "3", "--map", "{dir}"),
 ], ids=["no-labels", "no-relations", "labels-not-a-list", "unhashable-label",
         "empty", "blank", "directory-poset", "directory-map"])
-def test_malformed_posets_and_directories_exit_two(tmp_path, argv):
+def test_malformed_posets_and_directories_exit_two(capsys, tmp_path, argv):
     argv = [a.replace("{dir}", str(tmp_path)) for a in argv]
     extra = ["--theorem", "z2"] if argv[0] == "verify" else []
-    proc = subprocess.run(
-        [sys.executable, "-m", "incalg.cli", *argv, "--field", "2", *extra],
-        capture_output=True, text=True, env=CHILD_ENV)
-    assert proc.returncode == 2
-    out = json.loads(proc.stdout)
+    code = main([*argv, "--field", "2", *extra])
+    out, err = capsys.readouterr()
+    assert code == 2
+    out = json.loads(out)
     assert set(out) == {"error", "message"}
     if not argv[2].strip():
         assert out["error"] == "EmptyPoset"
-    assert "Traceback" not in proc.stderr
+    assert err == ""
 
 
 def _subclasses(cls):

@@ -31,11 +31,9 @@ from incalg.linmaps import (LinMap, apply_map, compose, conjugation_map,
                             is_k_potent_preserver, is_lie_homomorphism,
                             multiplicative_map, order_induced_map,
                             preserves_jordan_products, scale_map)
-from incalg.poset import chain, enumerate_order_maps, poset_from_relations
+from incalg.poset import chain, enumerate_order_maps
 
-
-def vee():
-    return poset_from_relations([1, 2, 3], [(1, 2), (1, 3)])
+from toolkit import fork, k22, vee
 
 
 def test_gl_order_closed_form():
@@ -426,14 +424,6 @@ def _every_sigma_jordan_like_maps(P, F):
                 m = compose(conj, base)
                 seen.setdefault(m.cols, m)
     return seen
-
-
-def k22():
-    return poset_from_relations([1, 2, 3, 4], [(1, 3), (1, 4), (2, 3), (2, 4)])
-
-
-def fork():
-    return poset_from_relations([1, 2, 3, 4], [(1, 2), (2, 3), (1, 4)])
 
 
 REFERENCE_CASES = [(chain(2), 3), (chain(2), 5), (vee(), 3), (chain(3), 2),

@@ -25,11 +25,9 @@ from incalg.linmaps import (LinMap, apply_map, compose, conjugation_map,
                             scale_map, shift_from_functional)
 from incalg.linmaps import (_aba, _abc_cba, _bracket, _jordan,
                             _reversed_product, _sampled_potents, _square)
-from incalg.poset import chain, enumerate_order_maps, poset_from_relations
+from incalg.poset import chain, enumerate_order_maps
 
-
-def fork():
-    return poset_from_relations([1, 2, 3, 4], [(1, 2), (2, 3), (1, 4)])
+from toolkit import all_elements, fork, vee
 
 
 def test_identity_and_apply():
@@ -185,8 +183,8 @@ def test_scale_map_checks_its_scalar_as_scale_does(q, r):
 def _is_onto(phi):
     """Whether phi hits every element: by enumeration, no elimination."""
     P, F = phi.poset, phi.field
-    return len({apply_map(phi, IncElement(P, F, c)).coeffs
-                for c in itertools.product(range(F.q), repeat=P.dim)}) == F.q ** P.dim
+    images = {apply_map(phi, f).coeffs for f in all_elements(P, F)}
+    return len(images) == F.q ** P.dim
 
 
 def _leibniz_det(rows):
@@ -221,7 +219,7 @@ def test_elimination_on_whole_spaces_and_samples():
         assert flags == [_is_onto(phi) for phi in maps]
         assert 0 < sum(flags) < len(maps)
 
-    P, F = poset_from_relations([1, 2, 3], [(1, 2), (1, 3)]), QQ()
+    P, F = vee(), QQ()
     rng = random.Random(3)
     flags = []
     for _ in range(40):
@@ -241,10 +239,8 @@ def test_tuple_laws_equal_the_element_laws():
     # the law checks apply one law to both sides, so a law that is wrong the
     # same way on both sides would go unseen there; check each against
     # algebra's element-level products on every pair (triple: a sample)
-    for P, F in ((chain(2), GF(3)),
-                 (poset_from_relations([1, 2, 3], [(1, 2), (1, 3)]), GF(2))):
-        elems = [IncElement(P, F, c)
-                 for c in itertools.product(range(F.q), repeat=P.dim)]
+    for P, F in ((chain(2), GF(3)), (vee(), GF(2))):
+        elems = list(all_elements(P, F))
         for f, g in itertools.product(elems, repeat=2):
             a, b = f.coeffs, g.coeffs
             assert _bracket(P, F, a, b) == lie_bracket(f, g).coeffs
@@ -301,8 +297,7 @@ def _law_tables(P, F, elems=None):
     """Every algebra element (or the given ones), and each law evaluated on
     every pair of them."""
     if elems is None:
-        elems = [IncElement(P, F, c)
-                 for c in itertools.product(range(F.q), repeat=P.dim)]
+        elems = list(all_elements(P, F))
     pairs = list(itertools.product(range(len(elems)), repeat=2))
     tables = {law: [law(elems[i], elems[j]) for i, j in pairs]
               for law in (jordan_product, lie_bracket, convolve, _fgf)}
@@ -371,7 +366,7 @@ def test_predicates_equal_their_laws_on_every_element_pair():
     # basis elements and seeded random elements. The first two already
     # decide each law: the bilinear ones on basis pairs, the square and aba
     # through their polarizations (a + c)^2 and (a + c)b(a + c)
-    P, F = poset_from_relations([1, 2, 3], [(1, 2), (1, 3)]), GF(4)
+    P, F = vee(), GF(4)
     rng = random.Random(20261019)
     es = [basis_element(P, F, x, y) for x, y in P.comparable_pairs()]
     elems = (es + [a + b for a, b in itertools.combinations(es, 2)]
@@ -430,7 +425,7 @@ def test_jordan_homomorphism_off_char_2_equals_the_full_law_check():
     assert got == [_all_jordan_laws(phi) for phi in maps]
     assert sum(got) == 33
 
-    V = poset_from_relations([1, 2, 3], [(1, 2), (1, 3)])
+    V = vee()
     for q, seed in ((3, 20261018), (5, 20261019)):
         maps = _random_maps(V, GF(q), 3000, seed)
         assert ([is_jordan_homomorphism(phi) for phi in maps]
@@ -458,7 +453,7 @@ def test_algebra_iso_checks_the_pairs_a_after_b(q):
     # on V = {1<2, 1<3}, e12 -> e12 + e13 (identity on the rest) is
     # bijective, fixes delta and keeps e_a e_b for every basis pair a <= b;
     # only a pair a > b, (e12, e22), shows it is no algebra map
-    P, F = poset_from_relations([1, 2, 3], [(1, 2), (1, 3)]), GF(q)
+    P, F = vee(), GF(q)
     images = {(x, y): basis_element(P, F, x, y)
               for x, y in P.comparable_pairs()}
     images[(1, 2)] = images[(1, 2)] + images[(1, 3)]
@@ -501,8 +496,7 @@ def test_bijectivity_is_eliminated_once_and_kept_by_nonzero_multiples(
     assert len(calls) == 2
 
 
-@pytest.mark.parametrize("P", [chain(3), poset_from_relations(
-    [1, 2, 3], [(1, 2), (1, 3)]), fork(), chain(4)],
+@pytest.mark.parametrize("P", [chain(3), vee(), fork(), chain(4)],
     ids=["chain3", "vee", "fork", "chain4"])
 @pytest.mark.parametrize("F", [QQ(), GF(5), GF(7)], ids=["q", "gf5", "gf7"])
 @pytest.mark.parametrize("k", [2, 3])

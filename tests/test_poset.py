@@ -11,10 +11,7 @@ from incalg.poset import (OrderMap, Poset, antichain, chain,
                           enumerate_order_maps, is_connected, parse_poset,
                           poset_from_relations)
 
-
-def fork():
-    # 1 < 2 < 3 and 1 < 4; the closure must add (1, 3)
-    return poset_from_relations([1, 2, 3, 4], [(1, 2), (2, 3), (1, 4)])
+from toolkit import fork, k22, vee
 
 
 def test_chain_shape():
@@ -43,6 +40,7 @@ def test_pair_order_diagonal_first_then_lex():
 
 
 def test_transitive_closure():
+    # the fork is given by 1 < 2 < 3 and 1 < 4; the closure must add (1, 3)
     P = fork()
     assert P.lt(1, 3)
     assert not P.leq(2, 4) and not P.leq(4, 2)
@@ -169,8 +167,7 @@ def _all_pairs_prod_terms(P):
 
 
 @pytest.mark.parametrize("P", [chain(n) for n in range(1, 7)] + [
-    poset_from_relations([1, 2, 3], [(1, 2), (1, 3)]), fork(),
-    poset_from_relations([1, 2, 3, 4], [(1, 3), (1, 4), (2, 3), (2, 4)]),
+    vee(), fork(), k22(),
     poset_from_relations([1, 2, 3, 4], [(1, 2), (1, 3), (2, 4), (3, 4)]),
 ], ids=[f"chain{n}" for n in range(1, 7)] + ["vee", "fork", "k22", "diamond"])
 def test_prod_terms_match_the_all_pairs_scan(P):

@@ -12,11 +12,12 @@ from incalg.algebra import (IncElement, basis_element, conjugate, convolve,
 from incalg.errors import (BudgetExceeded, HypothesesNotMet, NotCommuting,
                            NotIdempotent, NotKPotent, UnsupportedField)
 from incalg.field import GF, QQ, primitive_root_of_unity, roots_of_unity
-from incalg.harness.kernels import linmap_from_codes, sweep_gl
-from incalg.poset import chain, poset_from_relations
+from incalg.poset import chain
 from incalg.potents import (conjugate_to_diagonal, enumerate_k_potents,
                             sample_k_potents, simultaneous_diagonalize,
                             spectral_decompose)
+
+from toolkit import fork, k22, swept_preservers, vee
 
 
 def brute_force_potents(P, F, k):
@@ -77,8 +78,7 @@ def _k_minus_one_products(P, F, k):
     return potents.np.flatnonzero((fk == dig).all(axis=1))
 
 
-@pytest.mark.parametrize("P", [chain(2), poset_from_relations(
-    [1, 2, 3], [(1, 2), (1, 3)])], ids=["chain2", "vee"])
+@pytest.mark.parametrize("P", [chain(2), vee()], ids=["chain2", "vee"])
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_potent_scan_matches_the_k_minus_one_products(P, q):
     F = GF(q)
@@ -183,20 +183,8 @@ def _subset_sum_diagonalizer(alphas):
     return beta
 
 
-def _vee():
-    return poset_from_relations([1, 2, 3], [(1, 2), (1, 3)])
-
-
-def _fork():
-    return poset_from_relations([1, 2, 3, 4], [(1, 2), (2, 3), (1, 4)])
-
-
-def _k22():
-    return poset_from_relations([1, 2, 3, 4], [(1, 3), (1, 4), (2, 3), (2, 4)])
-
-
-SPECTRAL_POSETS = [(chain(2), "chain2"), (chain(3), "chain3"), (_vee(), "vee"),
-                   (_fork(), "fork"), (_k22(), "k22")]
+SPECTRAL_POSETS = [(chain(2), "chain2"), (chain(3), "chain3"), (vee(), "vee"),
+                   (fork(), "fork"), (k22(), "k22")]
 
 
 @pytest.mark.parametrize("P", [p for p, _ in SPECTRAL_POSETS],
@@ -219,18 +207,17 @@ def test_diagonalizer_equals_the_subset_sum_on_spectral_idempotents(P):
     assert cases == 10 * 9
 
 
-@pytest.mark.parametrize("P", [chain(2), _vee()], ids=["chain2", "vee"])
+@pytest.mark.parametrize("P", [chain(2), vee()], ids=["chain2", "vee"])
 def test_diagonalizer_equals_the_subset_sum_on_preserver_images(P):
     # the alphas z2_decompose diagonalizes: phi(e_x) for every idempotent
     # preserver phi of I(P, GF(2)) the sweep finds
     F = GF(2)
-    res = sweep_gl(P, F, 2)
-    for row in res.preservers:
-        phi = linmap_from_codes(P, F, tuple(int(v) for v in row))
+    maps = swept_preservers(P, F, 2)
+    for phi in maps:
         alphas = [phi.image(i) for i in range(P.n)]
         assert simultaneous_diagonalize(alphas) == \
             _subset_sum_diagonalizer(alphas)
-    assert res.preservers.shape[0] == {3: 8, 5: 128}[P.dim]
+    assert len(maps) == {3: 8, 5: 128}[P.dim]
 
 
 def test_diagonalizer_costs_n_products_per_point(monkeypatch):
@@ -241,7 +228,7 @@ def test_diagonalizer_costs_n_products_per_point(monkeypatch):
         return convolve(f, g)
 
     monkeypatch.setattr(potents, "convolve", counting)
-    P, F = _fork(), GF(5)
+    P, F = fork(), GF(5)
     for f in sample_k_potents(P, F, 5, 4, random.Random(7)):
         alphas = list(spectral_decompose(f, 5).idempotents)
         n = len(alphas)
