@@ -8,24 +8,25 @@ ascending). Flags per map:
   lie        brackets of basis pairs are preserved
   exidem     the image of every diagonal basis element is idempotent
 
-``sweep_gl`` is a level-pruned backtracking search, vectorized with numpy. A
-node at depth l is a prefix of l + 1 independent columns and two alive flags,
-pres and (when asked for) lie. Codes are little-endian base q, so the codes
-below q^w are the vectors supported on the first w basis elements: a width-w
-prefix spans their images, and its children append every code outside that
-span. phi(t) depends only on the columns in supp(t), so a code t is decided at
-the depth l with q^l <= t < q^(l+1) (0 at depth 0): a node there is tested
-only against those potents and the Lie pairs whose brackets are decided
-there. A node with both flags dead is dropped, and its prod_{i>l}(q^dim - q^i)
-completions are counted in closed form; the nodes that reach the last depth
-are the preservers and the Lie maps. The frontier is expanded depth first in
-chunks of nodes, which keeps the lexicographic order and bounds the working
-set.
+``sweep_gl`` is a level-pruned backtracking search, vectorized with numpy.
+Each pruning flag is a lane: per depth, the checks decided there. The pres
+lane always runs, the lie lane only when asked for. A node at depth l is a
+prefix of l + 1 independent columns and one alive flag per lane. Codes are
+little-endian base q, so the codes below q^w are the vectors supported on the
+first w basis elements: a width-w prefix spans their images, and its children
+append every code outside that span. phi(t) depends only on the columns in
+supp(t), so a code t is decided at the depth l with q^l <= t < q^(l+1) (0 at
+depth 0): there the pres lane tests a node against those potents, and the
+lie lane against the Lie pairs whose brackets are decided there. A node with
+no alive flag is dropped, and its prod_{i>l}(q^dim - q^i) completions are
+counted in closed form; the nodes that reach the last depth are the
+preservers and the Lie maps. The frontier is expanded depth first in chunks
+of nodes, which keeps the lexicographic order and bounds the working set.
 
-The results keep an integer count per flag combination, indexed by the flag
-bits. A map the search never reaches has pres = lie = 0; how many of those
-have idempotent diagonal images follows from the closed-form count of all
-such maps in GL.
+The results keep an integer count per combination of the decided flags
+(pres, then lie and exidem when asked for), indexed by the flag bits. A map
+the search never reaches has no lane flag; how many of those have idempotent
+diagonal images follows from the closed-form count of all such maps in GL.
 """
 
 import itertools
@@ -57,9 +58,6 @@ class SweepTables:
     basis: np.ndarray      # (dim,) int64, codes of basis vectors
 
 
-_TABLES_CACHE = {}
-
-
 def _encode(digit, dim, q):
     """Codes whose digit j is the array ``digit(j)``, summed by Horner one
     digit plane at a time: no array of all the digits is made."""
@@ -71,27 +69,21 @@ def _encode(digit, dim, q):
 
 
 def build_sweep_tables(P, F, budget=DEFAULT_BUDGET):
-    """The code tables of I(P, F) that every sweep reads, cached per (P, F)."""
+    """The code tables of I(P, F) that every sweep reads."""
     if not F.is_finite():
         raise UnsupportedField("sweeps need a finite field")
     q, dim = F.q, P.dim
-    # refuse before the cache lookup: the cache key has no budget in it
     space = check_space_budget(P, F, budget)
     if space > SWEEP_SPACE_CAP:
         raise BudgetExceeded(
             f"coefficient space {space} exceeds the sweep cap {SWEEP_SPACE_CAP}",
             required=space)
-    key = (P, F)
-    if key in _TABLES_CACHE:
-        return _TABLES_CACHE[key]
     _, dig = space_digits(P, F)
-    tab = SweepTables(
+    return SweepTables(
         dim, P.n, q, space, dig,
         _encode(lambda j: F.add_np[dig[:, None, j], dig[None, :, j]], dim, q),
         _encode(lambda j: F.mul_np[:, dig[:, j]], dim, q),
         q ** np.arange(dim, dtype=np.int64))
-    _TABLES_CACHE[key] = tab
-    return tab
 
 
 def bracket_table(P, F, tab):
@@ -149,25 +141,13 @@ def image_codes(tab, t, cols, rows=Ellipsis):
     return w
 
 
-def _keep_potents(tab, lookup, cols, alive, codes):
-    """The rows of ``alive`` whose map sends every code in ``codes`` into the
-    membership table ``lookup``."""
-    for t in codes:
+def _keep(tab, cols, alive, checks):
+    """The rows of ``alive`` whose map passes every check: a check (t, ok)
+    asks ``ok(phi(t), cols, rows)`` of the maps phi in ``cols[rows]``."""
+    for t, ok in checks:
         if alive.size == 0:
             break
-        alive = alive[lookup[image_codes(tab, t, cols, alive)]]
-    return alive
-
-
-def _keep_brackets(tab, bracket, cols, alive, pairs):
-    """The rows of ``alive`` whose map keeps the Lie bracket of every basis
-    pair in ``pairs``."""
-    for a, b in pairs:
-        if alive.size == 0:
-            break
-        image = image_codes(tab, int(bracket[tab.basis[a], tab.basis[b]]),
-                            cols, alive)
-        alive = alive[image == bracket[cols[alive, a], cols[alive, b]]]
+        alive = alive[ok(image_codes(tab, t, cols, alive), cols, alive)]
     return alive
 
 
@@ -221,46 +201,48 @@ _CHUNK_CELLS = 1 << 20  # frontier rows x space per expanded chunk
 
 
 class _Search:
-    """One level-pruned search of GL: the constraints decided at each depth,
-    the per-level counters, and the leaves found so far."""
+    """One level-pruned search of GL: the lanes, the per-level counters, and
+    the leaves found so far. A lane is one pruning flag: per depth, the
+    checks decided there. Leaf flag j is lane j's."""
 
     def __init__(self, P, F, tab, pots, want_lie):
         self.tab = tab
-        self.want_lie = want_lie
-        self.lookup = pots.lookup
+        in_table = lambda image, cols, rows: pots.lookup[image]
         depth = _depths(tab, pots.codes)  # ascending codes keep their order
-        self.pots = [pots.codes[depth == l] for l in range(tab.dim)]
-        self.pairs = [[] for _ in range(tab.dim)]
-        self.bracket = bracket_table(P, F, tab) if want_lie else None
-        if want_lie:
+        self.lanes = {"pres": [[(t, in_table) for t in pots.codes[depth == l]]
+                               for l in range(tab.dim)]}
+        if want_lie:  # phi([e_a, e_b]) = [phi(e_a), phi(e_b)] per pair
+            bracket = bracket_table(P, F, tab)
+            lie = self.lanes["lie"] = [[] for _ in range(tab.dim)]
             for a, b in itertools.combinations(range(tab.dim), 2):
-                code = self.bracket[tab.basis[a], tab.basis[b]]
-                self.pairs[max(b, int(_depths(tab, code)))].append((a, b))
+                t = int(bracket[tab.basis[a], tab.basis[b]])
+                keeps = (lambda image, cols, rows, a=a, b=b:
+                         image == bracket[cols[rows, a], cols[rows, b]])
+                lie[max(b, int(_depths(tab, t)))].append((t, keeps))
         self.completions = _completions(tab)
         self.chunk = max(1, _CHUNK_CELLS // tab.space)
         self.levels = [dict.fromkeys(_LEVEL_KEYS, 0) for _ in range(tab.dim)]
-        self.leaves = []  # (maps, flags) pairs; flags[:, 0] pres, [:, 1] lie
+        self.leaves = []  # (maps, flags) pairs
 
     def run(self, lo, hi):
         """Search the maps whose first column code lies in [lo, hi)."""
         first = np.zeros((1, self.tab.space), dtype=bool)
         first[0, lo:hi] = True
         self._expand(0, np.zeros((1, 0), dtype=np.int64),
-                     np.array([[True, self.want_lie]]), first)
+                     np.ones((1, len(self.lanes)), dtype=bool), first)
 
     def _expand(self, depth, prefixes, alive, allowed=True):
         """Append every ``allowed`` code outside the span of prefix r to it,
-        test the constraints decided at ``depth``, drop the nodes with no
-        alive flag, and descend into the rest chunk by chunk."""
+        run each lane's checks decided at ``depth`` on the children still
+        alive in it, drop the nodes with no alive flag, and descend into the
+        rest chunk by chunk."""
         tab = self.tab
         rows, cols = _children(tab, prefixes, allowed)
         alive = alive[rows]  # a child starts with its parent's flags
-        pres = _keep_potents(tab, self.lookup, cols,
-                             np.flatnonzero(alive[:, 0]), self.pots[depth])
-        lie = _keep_brackets(tab, self.bracket, cols,
-                             np.flatnonzero(alive[:, 1]), self.pairs[depth])
-        flags = np.zeros((len(cols), 2), dtype=bool)
-        flags[pres, 0] = flags[lie, 1] = True
+        flags = np.zeros_like(alive)
+        for j, lane in enumerate(self.lanes.values()):
+            flags[_keep(tab, cols, np.flatnonzero(alive[:, j]), lane[depth]),
+                  j] = True
         keep = np.flatnonzero(flags.any(axis=1))
         level = self.levels[depth]
         level["visited"] += len(cols)
@@ -280,16 +262,15 @@ class _Search:
 
 @dataclass
 class SweepResult:
-    """``flag_counts[i]`` counts the maps whose flag ``FLAGS[b]`` is bit b
-    of i."""
-
-    FLAGS = ("pres", "lie", "exidem")
+    """``flag_counts[i]`` counts the maps whose flag ``flags[b]`` is bit b
+    of i; ``flags`` names the flags the sweep decided, in bit order."""
 
     workers: int
     n_maps: int
+    flags: tuple
     flag_counts: np.ndarray  # Python ints: |GL| outgrows int64 quickly
     preservers: np.ndarray  # (n_pres, dim) column codes, enumeration order
-    lie_maps: np.ndarray
+    lie_maps: np.ndarray  # (0, dim) without the lie flag
     levels: list  # per depth: nodes visited, pruned, passed; maps covered
     elapsed_s: float
 
@@ -297,7 +278,7 @@ class SweepResult:
     def counts(self):
         """The flag counts keyed like "pres=1,lie=0,exidem=1"."""
         return {",".join(f"{name}={(i >> b) & 1}"
-                         for b, name in enumerate(self.FLAGS)): int(c)
+                         for b, name in enumerate(self.flags)): int(c)
                 for i, c in enumerate(self.flag_counts)}
 
 
@@ -314,7 +295,8 @@ def _stack(parts, dim):
 def sweep_gl(P, F, k, want_lie=False, want_exidem=False, workers=1,
              backend=None, budget=DEFAULT_BUDGET):
     """Search GL(dim, q) for the k-potent preservers (and the Lie maps when
-    ``want_lie``), and count every map of GL per flag combination.
+    ``want_lie``), and count every map of GL per combination of the flags
+    decided: pres, then lie and exidem when asked for.
 
     ``levels[l]`` holds the nodes visited, pruned and passed at depth l, and
     the maps covered there: each pruned node's completions, plus one per
@@ -337,12 +319,15 @@ def sweep_gl(P, F, k, want_lie=False, want_exidem=False, workers=1,
         search.run(lo, hi)
 
     cols = _stack([c for c, _ in search.leaves], tab.dim)
-    flags = _stack([f for _, f in search.leaves], 2).astype(bool)
-    pres, lie = flags[:, 0], flags[:, 1]
-    exid = (idem[cols[:, :tab.n]].all(axis=1) if want_exidem
-            else np.zeros(len(cols), dtype=bool))
-    # one count per leaf at the index whose bits are (pres, lie, exidem)
-    leaf_counts = np.bincount(pres | lie << 1 | exid << 2, minlength=8)
+    names = tuple(search.lanes)
+    flags = _stack([f for _, f in search.leaves], len(names)).astype(bool)
+    if want_exidem:
+        exid = idem[cols[:, :tab.n]].all(axis=1)
+        flags = np.column_stack([flags, exid])
+        names += ("exidem",)
+    # one count per leaf at the index whose bit b is flag names[b]
+    leaf_counts = np.bincount(flags @ (1 << np.arange(len(names))),
+                              minlength=1 << len(names))
     flag_counts = np.array(leaf_counts.tolist(), dtype=object)
 
     n_maps = sum(level["covered"] for level in search.levels)
@@ -350,17 +335,17 @@ def sweep_gl(P, F, k, want_lie=False, want_exidem=False, workers=1,
         raise InternalConsistencyError(
             "pruned and enumerated maps do not add up to |GL|",
             f"{n_maps} != {gl_order(tab.dim, tab.q)}")
-    # maps the search never reached: pres = lie = 0, and exidem = 1 exactly
+    # maps the search never reached: no lane flag, and exidem = 1 exactly
     # for those of the |E| maps with idempotent diagonal images it missed
     unreached = n_maps - len(cols)
     if want_exidem:
         e_unreached = (_idempotent_frames(tab, idem)
                        * search.completions[tab.n - 1] - int(exid.sum()))
-        flag_counts[0b100] += e_unreached
+        flag_counts[1 << names.index("exidem")] += e_unreached
         unreached -= e_unreached
     flag_counts[0] += unreached
 
-    # without want_lie no leaf has its lie flag, so cols[lie] is empty
-    return SweepResult(len(ranges), n_maps, flag_counts, cols[pres], cols[lie],
-                       search.levels, time.perf_counter() - t0)
-
+    lie_maps = cols[flags[:, 1]] if want_lie else cols[:0]
+    return SweepResult(len(ranges), n_maps, names, flag_counts,
+                       cols[flags[:, 0]], lie_maps, search.levels,
+                       time.perf_counter() - t0)

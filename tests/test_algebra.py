@@ -69,7 +69,12 @@ def test_ring_laws_sampled(data):
     draw = lambda: IncElement(
         P, F, data.draw(st.tuples(*[st.integers(0, 2)] * P.dim)))
     f, g, h = draw(), draw(), draw()
+    r = data.draw(st.integers(0, 2))
     assert convolve(convolve(f, g), h) == convolve(f, convolve(g, h))
+    # the operators are the named operations
+    assert -f == f.scale(F.neg(F.one))
+    assert f * g == convolve(f, g)
+    assert f * r == r * f == f.scale(r)
     assert convolve(f, g + h) == convolve(f, g) + convolve(f, h)
     assert convolve(f + g, h) == convolve(f, h) + convolve(g, h)
     assert f + g == g + f

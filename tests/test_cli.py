@@ -79,21 +79,28 @@ def test_verify_budget_exit(capsys):
 VEE_TEXT = "3\n1<2\n1<3"
 
 
-@pytest.mark.parametrize("poset,q,theorem,cells", [
+@pytest.mark.parametrize("argv,flags,cells", [
+    # one flag: no Lie lane runs and exidem is never asked for
+    (("chain:2", "--field", "7", "--theorem", "kpotent", "--k", "4"),
+     ("pres",), [33_783_876, 252]),
+    (("chain:2", "--field", "3", "--theorem", "char-ne-2"),
+     ("pres",), [11_220, 12]),
+    # two flags: the Lie lane runs beside the potent lane
+    ((VEE_TEXT, "--field", "2", "--theorem", "z2"),
+     ("pres", "lie"), [9_999_232, 96, 0, 32]),
     # three flags: pres, lie and exidem all take part in the histogram
-    ("chain:2", 4, "char-2-big", [177864, 0, 120, 0, 3432, 0, 0, 24]),
-    # two flags: exidem is never asked for, so its cells stay 0
-    (VEE_TEXT, 2, "z2", [9_999_232, 96, 0, 32, 0, 0, 0, 0]),
-], ids=["char-2-big-chain2-gf4", "z2-vee-gf2"])
-def test_verify_flag_counts(capsys, poset, q, theorem, cells):
+    (("chain:2", "--field", "4", "--theorem", "char-2-big"),
+     ("pres", "lie", "exidem"), [177864, 0, 120, 0, 3432, 0, 0, 24]),
+], ids=["kpotent-chain2-gf7", "char-ne-2-chain2-gf3", "z2-vee-gf2",
+        "char-2-big-chain2-gf4"])
+def test_verify_flag_counts(capsys, argv, flags, cells):
     # the pruned search counts the maps it never reaches in closed form;
-    # every cell of the histogram must still be exact
-    code, out = run(capsys, "verify", "--poset", poset, "--field", str(q),
-                    "--theorem", theorem)
+    # every cell of the histogram must still be exact, and only the flags
+    # the statement decides are keyed
+    code, out = run(capsys, "verify", "--poset", *argv)
     assert code == 0
-    keys = [",".join(f"{name}={(i >> b) & 1}"
-                     for b, name in enumerate(("pres", "lie", "exidem")))
-            for i in range(8)]
+    keys = [",".join(f"{name}={(i >> b) & 1}" for b, name in enumerate(flags))
+            for i in range(1 << len(flags))]
     assert list(out["counts"].items()) == list(zip(keys, cells))
     assert sum(cells) == out["maps_swept"]
 
@@ -101,10 +108,10 @@ def test_verify_flag_counts(capsys, poset, q, theorem, cells):
 @pytest.mark.parametrize("argv,digest", [
     (("--poset", "chain:2", "--field", "7", "--theorem", "kpotent", "--k", "4",
       "--workers", "2", "--backend", "numpy"),
-     "92040bcb6ba8e7e0105d652a638276501f7a3dece9c1d9cebde326c991813aa7"),
+     "8d0c1e09c8e8ba2caeae46368d4723f123204ebbf67c26d738cc34d3c240263a"),
     (("--poset", VEE_TEXT, "--field", "2", "--theorem", "z2",
       "--workers", "2", "--backend", "numpy"),
-     "36b04375eca2c4b91ddc837565b32dc7f9549a09caa562617c1c8a31d47c87c6"),
+     "f4d90f5290e42be720a2741fe3de854ff03d069cc8e08807253f2458a348aea1"),
     (("--poset", "chain:2", "--field", "4", "--theorem", "char-2-big"),
      "759c27c222c6a64fcae070cf9e579e904cb50823654ebf05ac6547dc03a9e6e8"),
 ], ids=["kpotent-chain2-gf7", "z2-vee-gf2", "char-2-big-chain2-gf4"])

@@ -487,7 +487,6 @@ def test_tables_cache_and_contents():
     for P, q in [(chain(2), 3), (vee(), 2), (chain(2), 4)]:
         F = GF(q)
         tab = build_sweep_tables(P, F)
-        assert build_sweep_tables(P, F) is tab
         assert tab.space == q ** P.dim
         els = [IncElement(P, F, [int(v) for v in row]) for row in tab.dig]
         code = {f: c for c, f in enumerate(els)}
@@ -504,15 +503,10 @@ def test_tables_cache_and_contents():
 
 
 def test_tables_budget_checked_before_cache():
-    # a budget too small for the coefficient space is refused whether or not
-    # the tables were already built with a larger one
-    P, F = chain(2), GF(3)
+    # a budget too small for the coefficient space is refused before any
+    # table is built
     with pytest.raises(BudgetExceeded) as ei:
-        build_sweep_tables(P, F, budget=10)
-    assert ei.value.required == 27
-    build_sweep_tables(P, F)
-    with pytest.raises(BudgetExceeded) as ei:
-        build_sweep_tables(P, F, budget=10)
+        build_sweep_tables(chain(2), GF(3), budget=10)
     assert ei.value.required == 27
 
 
@@ -520,7 +514,6 @@ def test_cold_kpotent_verify_scans_potents_once(monkeypatch):
     # the sweep and the spot checks' preserver predicate read one shared
     # potent scan
     monkeypatch.setattr(potents, "_POTENT_CACHE", {})
-    monkeypatch.setattr(kernels, "_TABLES_CACHE", {})
     scan = potents.potent_code_tables
     calls = []
 

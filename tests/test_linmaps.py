@@ -46,6 +46,7 @@ def test_compose_and_matrix_orientation():
     mm = compose(m, m)
     e12 = basis_element(P, F, 1, 2)
     assert apply_map(mm, e12) == e12.scale(4)  # phi(psi(f)) ordering
+    assert mm(e12) == apply_map(mm, e12)  # calling a map applies it
 
 
 def test_conjugation_map_is_automorphism():

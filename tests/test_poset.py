@@ -138,6 +138,10 @@ def test_order_map_call_compose_inverse():
     assert all(rev(rev(x)) == x for x in P.labels)
     assert rev.mapping == {1: 3, 2: 2, 3: 1}
     assert rev.kind == "anti_automorphism"
+    # a second enumeration builds equal maps with equal hashes
+    again = enumerate_order_maps(P, "anti_automorphism")[0]
+    assert again is not rev and again == rev and hash(again) == hash(rev)
+    assert again != enumerate_order_maps(P, "automorphism")[0]
 
 
 def test_order_map_rejects_wrong_law():
