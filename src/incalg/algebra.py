@@ -94,16 +94,17 @@ class IncElement:
         return " + ".join(terms) if terms else "0"
 
     def to_triples(self):
-        """Nonzero entries as (x, y, scalar-code) triples, canonical order."""
+        """Nonzero entries as (x, y, raw value) triples, canonical order."""
         z = self.field.zero
         P = self.poset
-        out = []
-        for k, (i, j) in enumerate(P.pairs):
-            c = self.coeffs[k]
-            if c != z:
-                code = c if self.field.is_finite() else str(c)
-                out.append((P.labels[i], P.labels[j], code))
-        return out
+        return [(P.labels[i], P.labels[j], c)
+                for (i, j), c in zip(P.pairs, self.coeffs) if c != z]
+
+    def to_jsonable(self):
+        """The one JSON form of an element: [x, y, F.format(v)] per nonzero
+        entry, each label as its JSON value (a tuple label writes as a list)."""
+        F = self.field
+        return [[x, y, F.format(v)] for x, y, v in self.to_triples()]
 
 
 def _check_same(f, g):

@@ -32,7 +32,7 @@ regime_of is the one place that maps (field, k) to the statement that
 covers it; classify_preserver and the exhaustive verifier both ask it.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .algebra import (IncElement, as_scalar_multiple_of_delta,
@@ -352,17 +352,12 @@ def _linmap_jsonable(phi):
             "columns": [[F.format(v) for v in col] for col in phi.cols]}
 
 
-def _element_jsonable(f):
-    return [list(t) for t in f.to_triples()]
-
-
 def _jordan_factors(fact):
     om = fact.order_map
-    return {"inner_beta": _element_jsonable(fact.inner_beta),
-            "order_map": {"mapping": {str(x): str(om(x))
-                                      for x in om.poset.labels},
+    return {"inner_beta": fact.inner_beta.to_jsonable(),
+            "order_map": {"mapping": [[x, om(x)] for x in om.poset.labels],
                           "kind": om.kind},
-            "sigma": _element_jsonable(fact.sigma)}
+            "sigma": fact.sigma.to_jsonable()}
 
 
 # --- one certify function per regime: (certificates, factors, notes) ---
@@ -374,7 +369,7 @@ def _certify_z2(phi, k, budget):
              "shift_is_shift_map": True, "lie_part_is_lie_automorphism": True},
             {"shift": _linmap_jsonable(fact.shift),
              "lie_part": _linmap_jsonable(fact.lie_part),
-             "inner_beta": _element_jsonable(fact.inner_beta)},
+             "inner_beta": fact.inner_beta.to_jsonable()},
             ["shift o lie_part recomposes to the input exactly"])
 
 
@@ -430,9 +425,7 @@ class ClassifyReport:
     notes: list
 
     def to_jsonable(self):
-        return {"regime": self.regime, "k": self.k, "field": self.field,
-                "certificates": self.certificates, "factors": self.factors,
-                "notes": self.notes}
+        return asdict(self)
 
 
 def classify_preserver(phi, k, budget=DEFAULT_BUDGET):

@@ -23,7 +23,8 @@ from .errors import (BudgetExceeded, CycleError, DimensionMismatch,
                      UnknownLabel, UnsupportedField)
 from .field import field_from_flag
 from .harness.demos import DEMO_NAMES, run_all_demos, run_demo
-from .harness.verify import SPOT_DEFAULT, THEOREMS, verify_theorem
+from .harness.verify import (SPOT_DEFAULT, THEOREMS, describe_poset,
+                             verify_theorem)
 from .linmaps import parse_linmap
 from .poset import antichain, chain, parse_poset
 from .potents import (DEFAULT_BUDGET, conjugate_to_diagonal,
@@ -88,11 +89,6 @@ def _fail(e, code):
     return code
 
 
-def _element_triples(f):
-    F = f.field
-    return [[x, y, F.format(v)] for x, y, v in f.to_triples()]
-
-
 def cmd_verify(args):
     P = _load_poset(args.poset)
     F = field_from_flag(args.field)
@@ -124,11 +120,11 @@ def cmd_spectral(args):
     _emit({
         "k": args.k,
         "field": F.flag(),
-        "element": _element_triples(f),
+        "element": f.to_jsonable(),
         "epsilon": F.format(spec.epsilon),
-        "idempotents": [_element_triples(b) for b in spec.idempotents],
-        "conjugator": _element_triples(sigma),
-        "diagonal_form": _element_triples(diagonal_part(f)),
+        "idempotents": [b.to_jsonable() for b in spec.idempotents],
+        "conjugator": sigma.to_jsonable(),
+        "diagonal_form": diagonal_part(f).to_jsonable(),
     })
     return 0
 
@@ -142,10 +138,10 @@ def cmd_enumerate_potents(args):
     P = _load_poset(args.poset)
     F = field_from_flag(args.field)
     elems = enumerate_k_potents(P, F, args.k, budget=args.budget)
-    out = {"poset": {"labels": list(P.labels)}, "field": F.flag(),
+    out = {"poset": describe_poset(P), "field": F.flag(),
            "k": args.k, "count": len(elems)}
     if not args.count_only:
-        out["elements"] = [_element_triples(f) for f in elems]
+        out["elements"] = [f.to_jsonable() for f in elems]
     _emit(out)
     return 0
 

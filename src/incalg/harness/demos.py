@@ -99,7 +99,7 @@ def demo_lie_not_preserver():
         _c("the map does not preserve idempotents", not pres),
         _c("the first violating idempotent is the second diagonal unit",
            witness_ok,
-           witness=list(pres.witness.to_triples()) if pres.witness else None),
+           witness=pres.witness.to_jsonable() if pres.witness else None),
     ]
     return _claims_report(
         "lie-not-preserver",

@@ -17,7 +17,7 @@ this module's global names at call time, so a wrapper installed on those
 names sees every call.
 """
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -34,38 +34,25 @@ SPOT_DEFAULT = 24
 
 @dataclass
 class SweepReport:
+    """A verify run; the fields are declared in the order the JSON lists
+    them."""
     theorem: str
     poset: dict
     field: str
     k: int
     workers: int
-    n_maps: int
+    maps_swept: int
     counts: dict
+    levels: list
     preserver_count: int
     family_count: int
     match: bool
     elapsed_s: float
-    levels: list
-    samples: list = dc_field(default_factory=list)
-    notes: list = dc_field(default_factory=list)
+    samples: list
+    notes: list
 
     def to_jsonable(self):
-        return {
-            "theorem": self.theorem,
-            "poset": self.poset,
-            "field": self.field,
-            "k": self.k,
-            "workers": self.workers,
-            "maps_swept": self.n_maps,
-            "counts": self.counts,
-            "levels": self.levels,
-            "preserver_count": self.preserver_count,
-            "family_count": self.family_count,
-            "match": self.match,
-            "elapsed_s": round(self.elapsed_s, 3),
-            "samples": self.samples,
-            "notes": self.notes,
-        }
+        return {**asdict(self), "elapsed_s": round(self.elapsed_s, 3)}
 
 
 def describe_poset(P):
@@ -177,5 +164,5 @@ def verify_theorem(theorem, P, F, k=None, workers=1, backend=None,
         match = match and rec["ok"]
         samples.append(rec)
     return SweepReport(theorem, describe_poset(P), F.flag(), k, res.workers,
-                       res.n_maps, res.counts, len(preservers), len(fam),
-                       match, res.elapsed_s, res.levels, samples, notes)
+                       res.n_maps, res.counts, res.levels, len(preservers),
+                       len(fam), match, res.elapsed_s, samples, notes)

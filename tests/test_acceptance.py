@@ -39,7 +39,7 @@ def test_criterion_1_gf2_preservers_are_shift_compose_lie():
     counts = []
     for P, order in ((TWO_CHAIN, 168), (vee(), 9_999_360)):
         report = verify_theorem("z2", P, GF(2))
-        assert report.n_maps == order == gl_order(P.dim, 2)
+        assert report.maps_swept == order == gl_order(P.dim, 2)
         assert report.match, report.notes
         # every preserver must factor, with exact recomposition
         for phi in swept_preservers(P, GF(2), 2):
@@ -53,7 +53,7 @@ def test_criterion_1_gf2_preservers_are_shift_compose_lie():
 
 def test_criterion_2_gf3_preservers_are_jordan_automorphisms():
     report = verify_theorem("char-ne-2", TWO_CHAIN, GF(3))
-    assert report.n_maps == 11_232
+    assert report.maps_swept == 11_232
     assert report.match, report.notes
     kinds = set()
     for phi in swept_preservers(TWO_CHAIN, GF(3), 2):
@@ -69,7 +69,7 @@ def test_criterion_2_gf3_preservers_are_jordan_automorphisms():
 
 def test_criterion_3_gf4_preservers_are_lie_with_idempotent_diagonal():
     report = verify_theorem("char-2-big", TWO_CHAIN, GF(4))
-    assert report.n_maps == 181_440
+    assert report.maps_swept == 181_440
     assert report.match, report.notes
     _passed(3, f"over GF(4), preserver set ({report.preserver_count} maps) "
                "equals {bijective Lie maps sending every e_x to an "
@@ -79,7 +79,7 @@ def test_criterion_3_gf4_preservers_are_lie_with_idempotent_diagonal():
 def test_criterion_4_gf5_tripotent_preservers_scalar_split():
     F = GF(5)
     report = verify_theorem("tripotent", TWO_CHAIN, F, k=3)
-    assert report.n_maps == 1_488_000
+    assert report.maps_swept == 1_488_000
     assert report.match, report.notes
     seen_r = set()
     for phi in swept_preservers(TWO_CHAIN, F, 3):
@@ -96,7 +96,7 @@ def test_criterion_4_gf5_tripotent_preservers_scalar_split():
 def test_criterion_5_gf7_fourpotent_preservers_scalar_split():
     F = GF(7)
     report = verify_theorem("kpotent", TWO_CHAIN, F, k=4)
-    assert report.n_maps == 33_784_128
+    assert report.maps_swept == 33_784_128
     assert report.match, report.notes
     cube_roots = set(roots_of_unity(F, 3))
     for phi in swept_preservers(TWO_CHAIN, F, 4):
@@ -161,12 +161,12 @@ def test_criterion_9_verify_beyond_brute_force(make, q, theorem, preservers):
     t0 = time.perf_counter()
     report = verify_theorem(theorem, P, GF(q), spot=4)
     elapsed = time.perf_counter() - t0
-    assert report.n_maps == gl_order(P.dim, q)
+    assert report.maps_swept == gl_order(P.dim, q)
     assert report.preserver_count == report.family_count == preservers
     assert report.match, report.notes
     assert elapsed < 10.0
     _passed(9, f"{theorem} over GF({q}): {report.preserver_count} "
-               f"preservers equal the family among {report.n_maps:,} maps, "
+               f"preservers equal the family among {report.maps_swept:,} maps, "
                f"in {elapsed:.2f}s")
 
 

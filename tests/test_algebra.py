@@ -162,11 +162,15 @@ def test_centralizer_of_e_A_size():
 
 
 def test_to_triples_round_trip_and_repr():
-    P, F = P3, F3
-    f = from_triples(P, F, [(2, 3, 2), (1, 1, 1)])
-    assert f.to_triples() == [(1, 1, 1), (2, 3, 2)]
-    assert from_triples(P, F, f.to_triples()) == f
-    assert "e(" in repr(f)
+    # to_triples gives raw values: codes over GF(q), Fractions over Q
+    for F, entries, raw in [(F3, [(2, 3, 2), (1, 1, 1)], [1, 2]),
+                            (QQ(), [(2, 3, "-1/2"), (1, 1, 1)],
+                             [Fraction(1), Fraction(-1, 2)])]:
+        f = from_triples(P3, F, entries)
+        assert f.to_triples() == [(1, 1, raw[0]), (2, 3, raw[1])]
+        assert all(type(v) is type(raw[0]) for _, _, v in f.to_triples())
+        assert from_triples(P3, F, f.to_triples()) == f
+        assert "e(" in repr(f)
 
 
 def test_structure_mismatch():

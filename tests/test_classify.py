@@ -278,12 +278,12 @@ def _digest(reports):
 
 
 # sha256 of the sorted-key JSON list of classify_preserver(phi, k).to_jsonable()
-# over each set, as the element-level pipelines (conjugation_map,
-# order_induced_map, multiplicative_map, LinMap compositions) produced them
+# over each set: every field scalar an F.format string, the order map as
+# [x, lambda(x)] pairs in label order
 PINNED_REPORTS = {
-    "vee-gf5-k2": "98df5c163271064124d391a6afe40d1016bfe3a2a0b747bbaf9e7769e1d9536b",
-    "chain2-gf7-k4": "a6185d113d5aaaffc41703c404c6a08e4d6e82a432aa96e16592ed1731caeb8e",
-    "vee-gf2-z2": "f102c2b128d06808029f1dd7746cde26e2fd65fefd2c3aa2555e39ada533a886",
+    "vee-gf5-k2": "5bffa9ad523afce2095173474f55a527a18626fc1b83f8d4d73ec38faf311005",
+    "chain2-gf7-k4": "642eb80ba47ba141915a7d74c86d5911146af0c453f02d0feab6dc1cab650f04",
+    "vee-gf2-z2": "868f2912e0bb58da071ef19877b1e96466fe68ee9b01e57bb4d4b97f514e7b84",
 }
 
 

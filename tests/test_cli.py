@@ -13,6 +13,7 @@ import pytest
 import incalg
 import incalg.cli as cli
 import incalg.harness.verify as verify
+import incalg.poset
 from incalg.algebra import conjugate, from_triples
 from incalg.cli import main
 from incalg.errors import (BudgetExceeded, ClaimFailed, CycleError,
@@ -532,17 +533,61 @@ def test_decompose_reads_a_map_file(tmp_path, capsys):
     assert out["certificates"]["r"] == "2"
 
 
-@pytest.mark.parametrize("argv,message", [
+DECOMPOSE_GF5 = ("decompose", "--poset", "chain:2", "--field", "5", "--k",
+                 "3", "--map", "-")
+
+
+@pytest.mark.parametrize("argv,stdin,message", [
     (("decompose", "--poset", "chain:2", "--field", "3", "--k", "3",
-      "--map", "3 3\n1 0 0\n0 1 0\n0 0 1\n"),
+      "--map", "3 3\n1 0 0\n0 1 0\n0 0 1\n"), "",
      {"error": "UnsupportedRegime",
       "message": "k = 3 is divisible by the characteristic 3"}),
     (("spectral", "--poset", "chain:2", "--field", "5", "--k", "1",
-      "--element", "[[1,1,1]]"),
+      "--element", "[[1,1,1]]"), "",
      {"error": "ValueError", "message": "k must be >= 2"}),
-], ids=["decompose-gf3-k3", "spectral-k1"])
-def test_decompose_and_spectral_usage_errors_exit_two(capsys, argv, message):
+    (DECOMPOSE_GF5, "\n",
+     {"error": "DimensionMismatch", "message": "empty map file"}),
+    (DECOMPOSE_GF5, "5\n1 0 0\n0 1 0\n0 0 1\n",
+     {"error": "DimensionMismatch", "message": "bad header '5'"}),
+    (DECOMPOSE_GF5, "5 3\n1 0\n0 1 0\n0 0 1\n",
+     {"error": "DimensionMismatch", "message": "bad row length in '1 0'"}),
+    (("spectral", "--poset", "chain:2", "--field", "x", "--k", "3",
+      "--element", "[[1,1,1]]"), "",
+     {"error": "UnsupportedField", "message": "bad field flag 'x'"}),
+    (("spectral", "--poset", '{"labels": [1, 1], "relations": []}',
+      "--field", "5", "--k", "3", "--element", "[[1,1,1]]"), "",
+     {"error": "UnknownLabel", "message": "duplicate labels"}),
+    (("verify", "--poset", "chain:2", "--field", "Q", "--theorem",
+      "char-ne-2"), "",
+     {"error": "UnsupportedField", "message": "sweeps need a finite field"}),
+], ids=["decompose-gf3-k3", "spectral-k1", "map-empty", "map-bad-header",
+        "map-short-row", "field-x", "json-duplicate-labels", "verify-q"])
+def test_decompose_and_spectral_usage_errors_exit_two(capsys, monkeypatch,
+                                                      argv, stdin, message):
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
     assert run(capsys, *argv) == (2, message)
+
+
+@pytest.mark.parametrize("spec", ["chain:129", "antichain:129", "129\n",
+                                  "{file}"],
+                         ids=["chain", "antichain", "text", "json"])
+def test_oversized_poset_is_refused_before_it_is_built(capsys, monkeypatch,
+                                                       tmp_path, spec):
+    # one element past the cap; --budget does not lift it, and no Poset is
+    # constructed on the way to the refusal
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"labels": list(range(129)), "relations": []}))
+
+    def no_build(*args):
+        raise AssertionError("Poset built past the size cap")
+
+    monkeypatch.setattr(incalg.poset.Poset, "__init__", no_build)
+    code, out = run(capsys, "enumerate-potents", "--poset",
+                    spec.replace("{file}", str(path)), "--field", "2",
+                    "--k", "2", "--count-only", "--budget", str(10 ** 9))
+    assert code == 2
+    assert out == {"error": "BudgetExceeded",
+                   "message": "poset has 129 elements, the cap is 128"}
 
 
 def test_demo_one_name_prints_one_report(capsys):
@@ -550,6 +595,115 @@ def test_demo_one_name_prints_one_report(capsys):
     assert code == 0
     assert isinstance(out, dict)
     assert out["demo"] == "pure-shift" and out["ok"] is True
+
+
+# the keys under which a command's JSON holds elements, field scalars, label
+# pairs and counts; any other number in it is a stray scalar
+ELEMENT_KEYS = {"element", "conjugator", "diagonal_form", "inner_beta",
+                "sigma", "witness"}
+ELEMENT_LIST_KEYS = {"elements", "idempotents"}
+SCALAR_KEYS = {"r", "epsilon"}
+LABEL_PAIR_KEYS = {"mapping", "relations"}
+COUNT_KEYS = {"k", "count", "dim", "checked"}
+
+
+def _walk_output(node, labels):
+    """Assert that every field scalar in a command's JSON is a string and
+    every label one of ``labels``; return how many of each were seen."""
+    seen = {"scalars": 0, "labels": 0}
+
+    def label(x):
+        assert x in labels, x
+        seen["labels"] += 1
+
+    def scalar(v):
+        assert isinstance(v, str), v
+        seen["scalars"] += 1
+
+    def walk(node, key):
+        if key in ELEMENT_KEYS or key in ELEMENT_LIST_KEYS:
+            for element in [node] if key in ELEMENT_KEYS else node:
+                for x, y, v in element:
+                    label(x)
+                    label(y)
+                    scalar(v)
+        elif key in LABEL_PAIR_KEYS:
+            for pair in node:
+                for x in pair:
+                    label(x)
+        elif key == "labels":
+            for x in node:
+                label(x)
+        elif key in SCALAR_KEYS:
+            scalar(node)
+        elif key == "columns":
+            for col in node:
+                for v in col:
+                    scalar(v)
+        elif isinstance(node, dict):
+            for k, v in node.items():
+                walk(v, k)
+        elif isinstance(node, list):
+            for v in node:
+                walk(v, key)
+        else:
+            assert isinstance(node, (str, bool)) or key in COUNT_KEYS, (key, node)
+
+    walk(node, None)
+    return seen
+
+
+LIST_LABELS_POSET = ('{"labels": [[1, "a"], [2, "b"]], '
+                     '"relations": [[[1, "a"], [2, "b"]]]}')
+TRANSPOSE_MAP_GF5 = "5 3\n0 1 0\n1 0 0\n0 0 1\n"
+SHIFT_MAP_GF2 = "2 3\n1 0 0\n0 1 0\n1 1 1\n"
+
+
+@pytest.mark.parametrize("argv,stdin,labels", [
+    (("decompose", "--poset", "chain:2", "--field", "5", "--k", "2"),
+     TRANSPOSE_MAP_GF5, [1, 2]),
+    (("decompose", "--poset", "chain:2", "--field", "2", "--k", "2"),
+     SHIFT_MAP_GF2, [1, 2]),
+    (("decompose", "--poset", "chain:2", "--field", "7", "--k", "4"),
+     DOUBLED_MAP_GF7, [1, 2]),
+    (("decompose", "--poset", "chain:2", "--field", "Q", "--k", "3"),
+     NEGATED_MAP_Q, [1, 2]),
+    (("spectral", "--poset", "chain:2", "--field", "5", "--k", "3",
+      "--element", "[[1,1,1],[2,2,4],[1,2,3]]"), "", [1, 2]),
+    (("spectral", "--poset", "chain:2", "--field", "Q", "--k", "3",
+      "--element", "[[1,1,1],[2,2,-1],[1,2,3]]"), "", [1, 2]),
+    (("enumerate-potents", "--poset", "vee.json", "--field", "3", "--k", "2"),
+     "", ["root", "left", "right"]),
+    (("demo", "all"), "", [1, 2, 3, 4]),
+    (("decompose", "--poset", LIST_LABELS_POSET, "--field", "5", "--k", "2"),
+     TRANSPOSE_MAP_GF5, [[1, "a"], [2, "b"]]),
+], ids=["decompose-char-ne-2", "decompose-z2", "decompose-kpotent",
+        "decompose-q", "spectral-gf5", "spectral-q", "enumerate-potents",
+        "demo-all", "decompose-list-labels"])
+def test_field_scalars_are_strings_and_labels_json_values(
+        capsys, monkeypatch, tmp_path, argv, stdin, labels):
+    (tmp_path / "vee.json").write_text(json.dumps(
+        {"labels": ["root", "left", "right"],
+         "relations": [["root", "left"], ["root", "right"]]}))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    code, out = run(capsys, *argv)
+    assert code == 0
+    seen = _walk_output(out, labels)
+    assert seen["scalars"] > 0 and seen["labels"] > 0
+
+
+def test_list_labels_print_as_lists_in_every_factor(capsys, monkeypatch):
+    # the transpose of the 2-chain is induced by the order anti-automorphism
+    # swapping its two labels
+    monkeypatch.setattr("sys.stdin", io.StringIO(TRANSPOSE_MAP_GF5))
+    code, out = run(capsys, "decompose", "--poset", LIST_LABELS_POSET,
+                    "--field", "5", "--k", "2")
+    assert code == 0
+    a, b = [1, "a"], [2, "b"]
+    assert out["factors"]["order_map"] == {"mapping": [[a, b], [b, a]],
+                                           "kind": "anti_automorphism"}
+    assert out["factors"]["inner_beta"] == [[a, a, "1"], [b, b, "1"]]
 
 
 def test_enumerate_potents_lists_the_elements(capsys):

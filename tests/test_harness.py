@@ -482,7 +482,7 @@ def test_jordan_like_maps_need_sigma_on_k22():
         assert classify_preserver(fam[key], 2).regime == "char-ne-2"
 
 
-def test_tables_cache_and_contents():
+def test_tables_contents():
     # every entry of every table, against IncElement arithmetic
     for P, q in [(chain(2), 3), (vee(), 2), (chain(2), 4)]:
         F = GF(q)
@@ -502,7 +502,7 @@ def test_tables_cache_and_contents():
                                            for g in els]
 
 
-def test_tables_budget_checked_before_cache():
+def test_tables_budget_checked_before_build():
     # a budget too small for the coefficient space is refused before any
     # table is built
     with pytest.raises(BudgetExceeded) as ei:
@@ -611,7 +611,7 @@ def test_verify_samples_carry_classify_certificates():
 def test_verify_z2_on_vee_poset():
     r = verify_theorem("z2", vee(), GF(2))
     assert r.match
-    assert r.n_maps == gl_order(5, 2)
+    assert r.maps_swept == gl_order(5, 2)
     assert r.preserver_count == r.family_count == 128
 
 
