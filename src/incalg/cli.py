@@ -45,17 +45,16 @@ def _load_poset(spec):
         return chain(int(spec.split(":", 1)[1]))
     if spec.startswith("antichain:"):
         return antichain(int(spec.split(":", 1)[1]))
-    if not spec.strip():
-        return parse_poset(spec)  # EmptyPoset; Path("") would be "."
+    # a literal is blank (EmptyPoset), a bare element count, JSON, or
+    # multi-line relation text, and is parsed before any file is looked for:
+    # a long literal is no valid file name
+    if (not spec.strip() or spec.strip().isdigit() or "\n" in spec
+            or spec.lstrip().startswith(("{", "["))):
+        return parse_poset(spec)
     path = pathlib.Path(spec)
-    if path.exists():
-        return parse_poset(path.read_text())
-    # a literal is a bare element count, JSON, or multi-line relation text;
-    # anything else without a newline was meant as a file path
-    if ("\n" not in spec and not spec.lstrip().startswith(("{", "["))
-            and not spec.strip().isdigit()):
+    if not path.exists():
         raise FileNotFoundError(f"poset file {spec!r} not found")
-    return parse_poset(spec)
+    return parse_poset(path.read_text())
 
 
 def _read_source(path):
@@ -94,7 +93,7 @@ def cmd_verify(args):
     F = field_from_flag(args.field)
     report = verify_theorem(args.theorem, P, F, k=args.k,
                             workers=args.workers, backend=args.backend,
-                            budget=args.budget, spot=args.spot)
+                            spot=args.spot)
     _emit(report.to_jsonable())
     return 0 if report.match else 1
 
@@ -170,7 +169,6 @@ def build_parser():
                    help="number of first-column ranges, searched one after "
                         "another (default: 1)")
     p.add_argument("--backend", choices=("numpy",), default=None)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--spot", type=int, default=SPOT_DEFAULT,
                    help="how many preservers to push through the factorization")
     p.set_defaults(func=cmd_verify)

@@ -19,16 +19,17 @@ from ..poset import enumerate_order_maps
 FAMILY_BUDGET = 200_000
 
 
-def invertible_elements(P, F, budget=FAMILY_BUDGET):
+def invertible_elements(P, F):
     """All invertible elements: nonzero on the diagonal, free off it."""
     if not F.is_finite():
         raise UnsupportedField("element enumeration needs a finite field")
     q = F.q
     n, ns = P.n, P.n_strict
     total = (q - 1) ** n * q ** ns
-    if total > budget:
-        raise BudgetExceeded(f"{total} invertible elements, budget {budget}",
-                             required=total)
+    if total > FAMILY_BUDGET:
+        raise BudgetExceeded(
+            f"{total} invertible elements, budget {FAMILY_BUDGET}",
+            required=total)
     units = list(range(1, q))
     alls = list(range(q))
     out = []
@@ -69,7 +70,7 @@ def _sigma_classes(P, F, sigmas):
     return reps, cobs
 
 
-def jordan_like_maps(P, F, budget=FAMILY_BUDGET):
+def jordan_like_maps(P, F):
     """Every map of the shape conjugation after order-induced after
     multiplicative scaling, both order-map kinds, deduplicated.
 
@@ -101,7 +102,7 @@ def jordan_like_maps(P, F, budget=FAMILY_BUDGET):
     set comparison against sweep output are cheap.
     """
     conjs = [conjugation_map(beta)
-             for beta in invertible_elements(P, F, budget=budget)
+             for beta in invertible_elements(P, F)
              if beta.coeffs[0] == F.one]
     # (q-1)^n coboundaries: bounded by the invertible-element budget above
     sigmas, _ = _sigma_classes(P, F, multiplicative_systems(P, F))

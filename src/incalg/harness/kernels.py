@@ -35,10 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import BudgetExceeded, InternalConsistencyError, UnsupportedField
+from ..errors import InternalConsistencyError, UnsupportedField
 from ..linmaps import LinMap
-from ..potents import (DEFAULT_BUDGET, batch_convolve, cached_potents,
-                       check_space_budget, space_digits)
+from ..potents import (batch_convolve, cached_potents, check_space_budget,
+                       space_digits)
 from .gl import gl_order
 
 SWEEP_SPACE_CAP = 4096  # vec_add is space^2 entries; sweeps stay desk-scale
@@ -68,16 +68,13 @@ def _encode(digit, dim, q):
     return out
 
 
-def build_sweep_tables(P, F, budget=DEFAULT_BUDGET):
-    """The code tables of I(P, F) that every sweep reads."""
+def build_sweep_tables(P, F):
+    """The code tables of I(P, F) that every sweep reads, refused over the
+    sweep cap before any is built."""
     if not F.is_finite():
         raise UnsupportedField("sweeps need a finite field")
     q, dim = F.q, P.dim
-    space = check_space_budget(P, F, budget)
-    if space > SWEEP_SPACE_CAP:
-        raise BudgetExceeded(
-            f"coefficient space {space} exceeds the sweep cap {SWEEP_SPACE_CAP}",
-            required=space)
+    space = check_space_budget(P, F, SWEEP_SPACE_CAP)
     _, dig = space_digits(P, F)
     return SweepTables(
         dim, P.n, q, space, dig,
@@ -263,7 +260,8 @@ class _Search:
 @dataclass
 class SweepResult:
     """``flag_counts[i]`` counts the maps whose flag ``flags[b]`` is bit b
-    of i; ``flags`` names the flags the sweep decided, in bit order."""
+    of i; ``flags`` names the flags the sweep decided, in bit order.
+    ``tables`` are the code tables it searched."""
 
     workers: int
     n_maps: int
@@ -273,6 +271,7 @@ class SweepResult:
     lie_maps: np.ndarray  # (0, dim) without the lie flag
     levels: list  # per depth: nodes visited, pruned, passed; maps covered
     elapsed_s: float
+    tables: SweepTables
 
     @property
     def counts(self):
@@ -293,7 +292,7 @@ def _stack(parts, dim):
 
 
 def sweep_gl(P, F, k, want_lie=False, want_exidem=False, workers=1,
-             backend=None, budget=DEFAULT_BUDGET):
+             backend=None):
     """Search GL(dim, q) for the k-potent preservers (and the Lie maps when
     ``want_lie``), and count every map of GL per combination of the flags
     decided: pres, then lie and exidem when asked for.
@@ -308,10 +307,10 @@ def sweep_gl(P, F, k, want_lie=False, want_exidem=False, workers=1,
         raise ValueError(f"unknown backend {backend!r}; the sweep runs on numpy")
     if workers < 1:
         raise ValueError(f"workers must be >= 1; got {workers}")
-    tab = build_sweep_tables(P, F, budget=budget)
-    pots = cached_potents(P, F, k, budget=budget)
+    tab = build_sweep_tables(P, F)
+    pots = cached_potents(P, F, k)
     if want_exidem:  # membership of the idempotents, from their own scan
-        idem = cached_potents(P, F, 2, budget=budget).lookup
+        idem = cached_potents(P, F, 2).lookup
     t0 = time.perf_counter()
     search = _Search(P, F, tab, pots, want_lie)
     ranges = _split_ranges(1, tab.space, workers)
@@ -348,4 +347,4 @@ def sweep_gl(P, F, k, want_lie=False, want_exidem=False, workers=1,
     lie_maps = cols[flags[:, 1]] if want_lie else cols[:0]
     return SweepResult(len(ranges), n_maps, names, flag_counts,
                        cols[flags[:, 0]], lie_maps, search.levels,
-                       time.perf_counter() - t0)
+                       time.perf_counter() - t0, tab)

@@ -24,10 +24,9 @@ import numpy as np
 from ..classify import classify_preserver, regime_of
 from ..errors import DisconnectedPoset, IncalgError
 from ..poset import is_connected
-from ..potents import DEFAULT_BUDGET, cached_potents
+from ..potents import cached_potents
 from .families import bijective_shifts, jordan_like_maps, scaled_maps
-from .kernels import (build_sweep_tables, codes_of_linmap, image_codes,
-                      linmap_from_codes, sweep_gl)
+from .kernels import codes_of_linmap, image_codes, linmap_from_codes, sweep_gl
 
 SPOT_DEFAULT = 24
 
@@ -75,8 +74,8 @@ def _spot_indices(n, spot):
 
 # --- predicted families: (set of column-code tuples, notes) ---
 
-def _shift_lie_family(P, F, k, res, budget):
-    tab = build_sweep_tables(P, F, budget=budget)
+def _shift_lie_family(P, F, k, res):
+    tab = res.tables
     everything = np.arange(tab.space)
     shifts = bijective_shifts(P, F)
     fam = set()
@@ -87,14 +86,14 @@ def _shift_lie_family(P, F, k, res, budget):
                  f"{res.lie_maps.shape[0]} bijective Lie endomorphisms"]
 
 
-def _scaled_family(P, F, k, res, budget):
+def _scaled_family(P, F, k, res):
     fam_maps = scaled_maps(jordan_like_maps(P, F).values(), F, k)
     return {codes_of_linmap(m) for m in fam_maps.values()}, []
 
 
-def _lie_idempotent_family(P, F, k, res, budget):
+def _lie_idempotent_family(P, F, k, res):
     """The swept Lie maps whose diagonal basis images are idempotent."""
-    idem = cached_potents(P, F, 2, budget=budget).lookup
+    idem = cached_potents(P, F, 2).lookup
     lie = res.lie_maps
     fam = _rows_to_set(lie[idem[lie[:, :P.n]].all(axis=1)])
     differ = len(_rows_to_set(res.preservers) ^ fam)
@@ -108,7 +107,7 @@ class _Statement:
     regimes: tuple      # the values of classify.regime_of it covers
     want_lie: bool      # sweep flags
     want_exidem: bool
-    family: object      # family(P, F, k, res, budget) -> (codes set, notes)
+    family: object      # family(P, F, k, res) -> (codes set, notes)
 
 
 _STATEMENTS = {
@@ -124,7 +123,7 @@ THEOREMS = tuple(_STATEMENTS)
 
 
 def verify_theorem(theorem, P, F, k=None, workers=1, backend=None,
-                   budget=DEFAULT_BUDGET, spot=SPOT_DEFAULT):
+                   spot=SPOT_DEFAULT):
     if spot < 0:
         raise ValueError(f"spot must be >= 0; got {spot}")
     if theorem not in _STATEMENTS:
@@ -143,9 +142,9 @@ def verify_theorem(theorem, P, F, k=None, workers=1, backend=None,
         raise DisconnectedPoset("the classification needs a connected poset")
 
     res = sweep_gl(P, F, k, want_lie=st.want_lie, want_exidem=st.want_exidem,
-                   workers=workers, backend=backend, budget=budget)
+                   workers=workers, backend=backend)
     preservers = _rows_to_set(res.preservers)
-    fam, notes = st.family(P, F, k, res, budget)
+    fam, notes = st.family(P, F, k, res)
     match = preservers == fam
     # the first witnesses in the sweep's enumeration order: sorted code tuples
     notes = [f"mismatch witness: {list(codes)}"
@@ -156,8 +155,7 @@ def verify_theorem(theorem, P, F, k=None, workers=1, backend=None,
         codes = tuple(int(v) for v in res.preservers[i])
         rec = {"map": list(codes)}
         try:
-            rep = classify_preserver(linmap_from_codes(P, F, codes), k,
-                                     budget=budget)
+            rep = classify_preserver(linmap_from_codes(P, F, codes), k)
             rec.update(ok=True, certificates=rep.certificates)
         except IncalgError as e:
             rec.update(ok=False, error=f"{type(e).__name__}: {e}")

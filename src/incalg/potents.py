@@ -47,13 +47,15 @@ def batch_convolve(A, B, P, F):
     return out
 
 
-def check_space_budget(P, F, budget):
+def check_space_budget(P, F, limit):
     """q^dim, the size of the coefficient space of I(P, F) over a finite
-    field, or BudgetExceeded when it exceeds the budget."""
+    field, or BudgetExceeded when it is over ``limit``. A long size is
+    written as q^dim."""
     space = F.q ** P.dim
-    if space > budget:
+    if space > limit:
+        size = space if space < 10 ** 20 else f"{F.q}^{P.dim}"
         raise BudgetExceeded(
-            f"coefficient space has {space} elements, budget is {budget}",
+            f"coefficient space has {size} elements, over the limit {limit}",
             required=space)
     return space
 

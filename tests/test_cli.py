@@ -77,6 +77,27 @@ def test_verify_budget_exit(capsys):
     assert out["error"] == "BudgetExceeded"
 
 
+def test_verify_has_no_budget_option(capsys):
+    # the sweep cap is verify's only size limit; a --budget could only lower
+    # it, so there is none
+    with pytest.raises(SystemExit) as ei:
+        main(["verify", "--poset", "chain:2", "--field", "3", "--theorem",
+              "char-ne-2", "--budget", "10"])
+    assert ei.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("enumerate-potents", "--poset", "chain:128", "--field", "2", "--k", "2",
+     "--budget", "1"),
+    ("verify", "--poset", "chain:128", "--field", "2", "--theorem", "z2"),
+], ids=["enumerate-potents", "verify"])
+def test_space_refusal_writes_a_long_space_as_a_power(capsys, argv):
+    # 2^8256 has 2,486 digits; the refusal names the power instead
+    code, out = run(capsys, *argv)
+    assert code == 2 and out["error"] == "BudgetExceeded"
+    assert "2^8256" in out["message"] and len(out["message"]) < 200
+
+
 VEE_TEXT = "3\n1<2\n1<3"
 
 
@@ -396,6 +417,17 @@ def test_poset_file_and_literal_agree(tmp_path, capsys):
                         "--field", "2", "--k", "2", "--count-only")
     assert code_f == code_l == 0
     assert out_f["count"] == out_l["count"]
+
+
+def test_long_inline_json_poset_is_parsed_not_opened(capsys):
+    # the literal is longer than a file name may be; it is parsed, and its
+    # 2^60-element coefficient space is refused for the budget
+    spec = json.dumps({"labels": list(range(1, 61)), "relations": []})
+    assert len(spec) > 255
+    code, out = run(capsys, "enumerate-potents", "--poset", spec, "--field",
+                    "2", "--k", "2", "--count-only")
+    assert code == 2
+    assert out["error"] == "BudgetExceeded"
 
 
 def test_missing_poset_file(capsys):

@@ -381,10 +381,11 @@ def test_family_sizes_on_two_chain():
     assert len(fam) == 12
     for m in fam.values():
         assert is_bijective(m)
-    # the budget counts every invertible beta, not one per scalar class
+    # the budget counts every invertible beta, not one per scalar class:
+    # 8^2 * 9^3 = 46,656 per class is under it, 8^3 * 9^3 is over
     with pytest.raises(BudgetExceeded) as ei:
-        jordan_like_maps(P, GF(5), budget=79)
-    assert ei.value.required == 4 * 4 * 5
+        jordan_like_maps(chain(3), GF(9))
+    assert ei.value.required == 8 ** 3 * 9 ** 3
 
 
 def _order_maps(P):
@@ -502,33 +503,56 @@ def test_tables_contents():
                                            for g in els]
 
 
-def test_tables_budget_checked_before_build():
-    # a budget too small for the coefficient space is refused before any
-    # table is built
+def test_tables_budget_checked_before_build(monkeypatch):
+    # a coefficient space over the sweep cap is refused before any table is
+    # built
+    def no_digits(*args):
+        raise AssertionError("tables built past the sweep cap")
+
+    monkeypatch.setattr(kernels, "space_digits", no_digits)
     with pytest.raises(BudgetExceeded) as ei:
-        build_sweep_tables(chain(2), GF(3), budget=10)
-    assert ei.value.required == 27
+        build_sweep_tables(chain(2), GF(17))
+    assert ei.value.required == 17 ** 3
+
+
+def _record_calls(monkeypatch, fn):
+    """Wrap ``fn`` wherever a module of the package holds it, and return the
+    list of the positional arguments of each call made through it."""
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if (name.startswith("incalg")
+                and getattr(mod, fn.__name__, None) is fn):
+            monkeypatch.setattr(mod, fn.__name__, recording)
+    return calls
+
+
+@pytest.mark.parametrize("theorem,P,q,k", [
+    ("z2", vee(), 2, None), ("z2", chain(3), 2, None),
+    ("char-ne-2", chain(2), 3, None), ("char-2-big", chain(2), 4, None),
+    ("tripotent", chain(2), 5, None), ("kpotent", chain(2), 5, 3),
+], ids=["z2-vee", "z2-chain3", "char-ne-2", "char-2-big", "tripotent",
+        "kpotent"])
+def test_verify_builds_the_sweep_tables_once(monkeypatch, theorem, P, q, k):
+    # the sweep's tables serve the family too: one build per verify
+    calls = _record_calls(monkeypatch, kernels.build_sweep_tables)
+    report = verify_theorem(theorem, P, GF(q), k=k, spot=2)
+    assert report.match
+    assert calls == [(P, GF(q))]
 
 
 def test_cold_kpotent_verify_scans_potents_once(monkeypatch):
     # the sweep and the spot checks' preserver predicate read one shared
     # potent scan
     monkeypatch.setattr(potents, "_POTENT_CACHE", {})
-    scan = potents.potent_code_tables
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args[:3])
-        return scan(*args, **kwargs)
-
-    # patch the scanner wherever a module of the package holds it
-    for name, mod in list(sys.modules.items()):
-        if (name.startswith("incalg")
-                and getattr(mod, "potent_code_tables", None) is scan):
-            monkeypatch.setattr(mod, "potent_code_tables", counting)
+    calls = _record_calls(monkeypatch, potents.potent_code_tables)
     report = verify_theorem("kpotent", chain(2), GF(5), k=3)
     assert report.match and report.samples
-    assert calls == [(chain(2), GF(5), 3)]
+    assert [args[:3] for args in calls] == [(chain(2), GF(5), 3)]
 
 
 def test_codes_round_trip():
@@ -550,7 +574,7 @@ def test_verify_theorem_argument_validation():
     with pytest.raises(ValueError):
         verify_theorem("no-such-theorem", P, GF(2))
     # a negative spot is refused before the tables: chain(3) over GF(7)
-    # would otherwise be refused for its budget
+    # would otherwise be refused for the sweep cap
     with pytest.raises(ValueError):
         verify_theorem("char-ne-2", chain(3), GF(7), spot=-1)
     report = verify_theorem("char-ne-2", P, GF(3), spot=0)
