@@ -52,7 +52,7 @@ from .linmaps import (LinMap, _apply_vec, _has_shift_form, _is_algebra_iso,
                       is_lie_homomorphism, is_multiplicative_coeffs,
                       multiplicative_map, order_induced_map, scale_map)
 from .poset import OrderMap, is_connected
-from .potents import DEFAULT_BUDGET, simultaneous_diagonalize
+from .potents import simultaneous_diagonalize
 
 
 @dataclass(frozen=True)
@@ -186,17 +186,17 @@ def _recomposed_columns(P, F, b, binv, lam_hat, sigma_vals):
     return tuple(out)
 
 
-def _require_idempotent_preserver(phi, budget):
+def _require_idempotent_preserver(phi):
     """Raise NotIdempotentPreserver, naming the first idempotent whose image
     is not idempotent, unless phi preserves idempotents; return the check."""
-    check = is_k_potent_preserver(phi, 2, budget)
+    check = is_k_potent_preserver(phi, 2)
     if not check:
         raise NotIdempotentPreserver(
             f"idempotent {check.witness!r} maps to a non-idempotent")
     return check
 
 
-def z2_decompose(phi, budget=DEFAULT_BUDGET):
+def z2_decompose(phi):
     """Factor a bijective idempotent preserver over GF(2) as shift o lie."""
     P, F = phi.poset, phi.field
     if not (F.is_finite() and F.q == 2):
@@ -205,7 +205,7 @@ def z2_decompose(phi, budget=DEFAULT_BUDGET):
         raise DisconnectedPoset("factorization needs a connected poset")
     if not is_bijective(phi):
         raise HypothesesNotMet("factorization covers bijective maps only")
-    _require_idempotent_preserver(phi, budget)
+    _require_idempotent_preserver(phi)
 
     z = F.zero
     beta = simultaneous_diagonalize([phi.image(i) for i in range(P.n)])
@@ -278,7 +278,7 @@ def z2_decompose(phi, budget=DEFAULT_BUDGET):
     return fact
 
 
-def scalar_split(phi, k, budget=DEFAULT_BUDGET):
+def scalar_split(phi, k):
     """Split a k-potent preserver (k >= 3) as r * (auto or anti-auto); over Q,
     where the preserver check is sampled, the checked factors keep it exact."""
     if k < 3:
@@ -288,7 +288,7 @@ def scalar_split(phi, k, budget=DEFAULT_BUDGET):
         raise DisconnectedPoset("factorization needs a connected poset")
     if not is_bijective(phi):
         raise HypothesesNotMet("factorization covers bijective maps only")
-    check = is_k_potent_preserver(phi, k, budget)
+    check = is_k_potent_preserver(phi, k)
     if not check:
         raise HypothesesNotMet(
             f"{k}-potent {check.witness!r} maps to a non-{k}-potent")
@@ -362,9 +362,9 @@ def _jordan_factors(fact):
 
 # --- one certify function per regime: (certificates, factors, notes) ---
 
-def _certify_z2(phi, k, budget):
+def _certify_z2(phi, k):
     # z2_decompose runs over GF(2), where its preserver check is exhaustive
-    fact = z2_decompose(phi, budget)
+    fact = z2_decompose(phi)
     return ({"bijective": True, "idempotent_preserver": "exhaustive",
              "shift_is_shift_map": True, "lie_part_is_lie_automorphism": True},
             {"shift": _linmap_jsonable(fact.shift),
@@ -373,10 +373,10 @@ def _certify_z2(phi, k, budget):
             ["shift o lie_part recomposes to the input exactly"])
 
 
-def _certify_char_2_big(phi, k, budget):
+def _certify_char_2_big(phi, k):
     # certificates only: no automorphism/anti-automorphism factorization
     # exists in general, so none is attempted
-    check = _require_idempotent_preserver(phi, budget)
+    check = _require_idempotent_preserver(phi)
     if not (is_lie_homomorphism(phi) and has_idempotent_diagonal_images(phi)):
         raise InternalConsistencyError(
             "exhaustive idempotent preserver misses its certificate",
@@ -388,16 +388,16 @@ def _certify_char_2_big(phi, k, budget):
                  "factorization exists in general and none is attempted"])
 
 
-def _certify_char_ne_2(phi, k, budget):
-    check = _require_idempotent_preserver(phi, budget)
+def _certify_char_ne_2(phi, k):
+    check = _require_idempotent_preserver(phi)
     fact = jordan_decompose(phi)
     return ({"bijective": True, "idempotent_preserver": check.mode,
              "jordan_homomorphism": True, "kind": fact.order_map.kind},
             _jordan_factors(fact), [])
 
 
-def _certify_scalar_split(phi, k, budget):
-    split = scalar_split(phi, k, budget)
+def _certify_scalar_split(phi, k):
+    split = scalar_split(phi, k)
     r = phi.field.format(split.r)
     return ({"bijective": True, "potent_preserver": split.mode, "r": r,
              "r_power_check": f"r^{k - 1} = 1", "psi_kind": split.psi_kind},
@@ -428,7 +428,7 @@ class ClassifyReport:
         return asdict(self)
 
 
-def classify_preserver(phi, k, budget=DEFAULT_BUDGET):
+def classify_preserver(phi, k):
     """Verify that phi preserves k-potents and factor it per its regime.
 
     Raises (never fabricates a report) when phi is not a preserver or the
@@ -440,7 +440,7 @@ def classify_preserver(phi, k, budget=DEFAULT_BUDGET):
         raise DisconnectedPoset("classification needs a connected poset")
     if not is_bijective(phi):
         raise HypothesesNotMet("classification covers bijective maps only")
-    certificates, factors, notes = _CERTIFY[regime](phi, k, budget)
+    certificates, factors, notes = _CERTIFY[regime](phi, k)
     if not F.is_finite():
         notes.append("rational scalars: preserver check is the sampled "
                      "necessary condition, not an exhaustive proof")

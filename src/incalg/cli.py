@@ -27,8 +27,8 @@ from .harness.verify import (SPOT_DEFAULT, THEOREMS, describe_poset,
                              verify_theorem)
 from .linmaps import parse_linmap
 from .poset import antichain, chain, parse_poset
-from .potents import (DEFAULT_BUDGET, conjugate_to_diagonal,
-                      enumerate_k_potents, spectral_decompose)
+from .potents import (conjugate_to_diagonal, enumerate_k_potents,
+                      spectral_decompose)
 
 # the errors that refuse a request (exit 2): the input errors of reading
 # --poset, --field, --map and --element, then the unsupported and the
@@ -40,16 +40,19 @@ REFUSALS = (EmptyPoset, CycleError, UnknownLabel, IncomparablePair,
             OSError)
 
 
+def _is_literal(spec):
+    # blank, JSON or multi-line text is content, never a path: "" would open
+    # the working directory, and a long literal is no valid file name
+    return (not spec.strip() or "\n" in spec
+            or spec.lstrip().startswith(("{", "[")))
+
+
 def _load_poset(spec):
     if spec.startswith("chain:"):
         return chain(int(spec.split(":", 1)[1]))
     if spec.startswith("antichain:"):
         return antichain(int(spec.split(":", 1)[1]))
-    # a literal is blank (EmptyPoset), a bare element count, JSON, or
-    # multi-line relation text, and is parsed before any file is looked for:
-    # a long literal is no valid file name
-    if (not spec.strip() or spec.strip().isdigit() or "\n" in spec
-            or spec.lstrip().startswith(("{", "["))):
+    if _is_literal(spec) or spec.strip().isdigit():
         return parse_poset(spec)
     path = pathlib.Path(spec)
     if not path.exists():
@@ -60,8 +63,7 @@ def _load_poset(spec):
 def _read_source(path):
     if path == "-":
         return sys.stdin.read()
-    # literal content: a JSON list/object or embedded newlines, never a path
-    if path.lstrip().startswith(("[", "{")) or "\n" in path:
+    if _is_literal(path):
         return path
     return pathlib.Path(path).read_text()
 
@@ -102,7 +104,7 @@ def cmd_decompose(args):
     P = _load_poset(args.poset)
     F = field_from_flag(args.field)
     phi = parse_linmap(P, F, _read_source(args.map))
-    report = classify_preserver(phi, args.k, budget=args.budget)
+    report = classify_preserver(phi, args.k)
     _emit(report.to_jsonable())
     return 0
 
@@ -136,7 +138,7 @@ def cmd_demo(args):
 def cmd_enumerate_potents(args):
     P = _load_poset(args.poset)
     F = field_from_flag(args.field)
-    elems = enumerate_k_potents(P, F, args.k, budget=args.budget)
+    elems = enumerate_k_potents(P, F, args.k)
     out = {"poset": describe_poset(P), "field": F.flag(),
            "k": args.k, "count": len(elems)}
     if not args.count_only:
@@ -180,7 +182,6 @@ def build_parser():
     p.add_argument("--map", default="-",
                    help="map file (header 'field dim', one line per column); "
                         "- reads stdin")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("spectral", help="split a k-potent into orthogonal "
@@ -199,7 +200,6 @@ def build_parser():
     p = sub.add_parser("enumerate-potents", help="list every k-potent element")
     add_common(p)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--count-only", action="store_true")
     p.set_defaults(func=cmd_enumerate_potents)
     return parser

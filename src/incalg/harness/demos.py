@@ -20,10 +20,6 @@ from ..linmaps import (has_idempotent_diagonal_images, identity_map,
 from ..poset import chain, poset_from_relations
 from ..potents import conjugate_to_diagonal, spectral_decompose
 
-DEMO_NAMES = ("lie-not-multiplicative", "lie-not-preserver", "pure-shift",
-              "diagonal-obstruction")
-
-
 def _claims_report(name, description, claims):
     for c in claims:
         if not c["ok"]:
@@ -186,6 +182,7 @@ _DEMOS = {
     "pure-shift": demo_pure_shift,
     "diagonal-obstruction": demo_diagonal_obstruction,
 }
+DEMO_NAMES = tuple(_DEMOS)
 
 
 def run_demo(name):

@@ -298,18 +298,18 @@ def _sampled_potents(P, F, k):
     return out
 
 
-def is_k_potent_preserver(phi, k, budget=_potents.DEFAULT_BUDGET):
+def is_k_potent_preserver(phi, k):
     """Whether phi maps every k-potent to a k-potent.
 
     The field picks the mode. Over GF(q) the check is exhaustive: it
-    enumerates all k-potents (budgeted) in canonical code order, so the
-    reported witness is the first violator. Over Q it is sampled: it checks
-    the structured families only and is a necessary condition, not a proof.
+    enumerates all k-potents (refused over SCAN_SPACE_CAP codes) in code
+    order, so the witness is the first violator. Over Q it is sampled: it
+    checks the structured families only, a necessary condition, not a proof.
     """
     P, F = phi.poset, phi.field
     if F.is_finite():
         mode = "exhaustive"
-        pots = _potents.cached_potents(P, F, k, budget).elements
+        pots = _potents.cached_potents(P, F, k).elements
     else:
         if k < 2:
             raise ValueError("k must be >= 2")

@@ -19,7 +19,7 @@ from .errors import (BudgetExceeded, HypothesesNotMet, InternalConsistencyError,
                      NotKPotent, StructureMismatch, UnsupportedField)
 from .field import power_by_squaring, primitive_root_of_unity, roots_of_unity
 
-DEFAULT_BUDGET = 1 << 20
+SCAN_SPACE_CAP = 2 ** 20  # the most codes the exhaustive scan builds
 
 
 def space_digits(P, F):
@@ -60,21 +60,21 @@ def check_space_budget(P, F, limit):
     return space
 
 
-def _check_scan(P, F, k, budget):
+def _check_scan(P, F, k):
     if not F.is_finite():
         raise UnsupportedField("exhaustive potent scan needs a finite field")
     if k < 2:
         raise ValueError("k must be >= 2")
-    check_space_budget(P, F, budget)
+    check_space_budget(P, F, SCAN_SPACE_CAP)
 
 
-def potent_code_tables(P, F, k, budget=DEFAULT_BUDGET):
+def potent_code_tables(P, F, k):
     """(codes, digits, lookup) for all k-potents, in code order.
 
     codes: int64 codes of the k-potents; digits: their (npot, dim) digit
     rows; lookup: bool membership table over the whole space.
     """
-    _check_scan(P, F, k, budget)
+    _check_scan(P, F, k)
     _, dig = space_digits(P, F)
     fk = power_by_squaring(lambda A, B: batch_convolve(A, B, P, F), dig, k)
     mask = (fk == dig).all(axis=1)
@@ -92,26 +92,25 @@ class PotentTables:
 _POTENT_CACHE = {}
 
 
-def cached_potents(P, F, k, budget=DEFAULT_BUDGET):
+def cached_potents(P, F, k):
     """The k-potents of I(P, F), scanned once per (P, F, k) and shared by the
     sweep tables, ``enumerate_k_potents`` and the brute-force oracle
-    ``linmaps.is_k_potent_preserver``. The budget is checked on every call,
-    before the lookup: the cache key has no budget in it."""
-    _check_scan(P, F, k, budget)
+    ``linmaps.is_k_potent_preserver``. Only the scan checks its inputs: a
+    cached (P, F, k) has passed a limit that cannot change."""
     key = (P, F, k)
     tables = _POTENT_CACHE.get(key)
     if tables is None:
-        codes, digits, lookup = potent_code_tables(P, F, k, budget)
+        codes, digits, lookup = potent_code_tables(P, F, k)
         elements = tuple(IncElement(P, F, [int(v) for v in row])
                          for row in digits)
         tables = _POTENT_CACHE[key] = PotentTables(codes, lookup, elements)
     return tables
 
 
-def enumerate_k_potents(P, F, k, budget=DEFAULT_BUDGET):
+def enumerate_k_potents(P, F, k):
     """All f with f^k = f, in canonical code order. Finite fields only,
-    refused (BudgetExceeded) when the coefficient space exceeds the budget."""
-    return list(cached_potents(P, F, k, budget).elements)
+    refused (BudgetExceeded) over SCAN_SPACE_CAP codes."""
+    return list(cached_potents(P, F, k).elements)
 
 
 def sample_k_potents(P, F, k, count, rng):

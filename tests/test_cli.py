@@ -25,6 +25,8 @@ from incalg.errors import (BudgetExceeded, ClaimFailed, CycleError,
 from incalg.field import GF
 from incalg.poset import chain
 
+from toolkit import forbid_digit_arrays
+
 IDENTITY_MAP_GF5 = "5 3\n1 0 0\n0 1 0\n0 0 1\n"
 DOUBLED_MAP_GF5 = "5 3\n2 0 0\n0 2 0\n0 0 2\n"
 DOUBLED_MAP_GF7 = "7 3\n2 0 0\n0 2 0\n0 0 2\n"
@@ -87,12 +89,13 @@ def test_verify_has_no_budget_option(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ("enumerate-potents", "--poset", "chain:128", "--field", "2", "--k", "2",
-     "--budget", "1"),
+    ("enumerate-potents", "--poset", "chain:128", "--field", "2", "--k", "2"),
     ("verify", "--poset", "chain:128", "--field", "2", "--theorem", "z2"),
 ], ids=["enumerate-potents", "verify"])
-def test_space_refusal_writes_a_long_space_as_a_power(capsys, argv):
+def test_space_refusal_writes_a_long_space_as_a_power(capsys, monkeypatch,
+                                                       argv):
     # 2^8256 has 2,486 digits; the refusal names the power instead
+    forbid_digit_arrays(monkeypatch)
     code, out = run(capsys, *argv)
     assert code == 2 and out["error"] == "BudgetExceeded"
     assert "2^8256" in out["message"] and len(out["message"]) < 200
@@ -389,21 +392,35 @@ def test_enumerate_potents_count_only(capsys):
     assert out["count"] == 88
 
 
+@pytest.mark.parametrize("n,space", [(4, 5 ** 10), (5, 5 ** 15)],
+                         ids=["chain4", "chain5"])
+def test_enumerate_potents_past_the_scan_cap_exits_two(capsys, monkeypatch,
+                                                       n, space):
+    # the scan cap is a constant; 5^15 codes would need a 426 GiB digit
+    # array, and the refusal comes before any array is built
+    forbid_digit_arrays(monkeypatch)
+    assert run(capsys, "enumerate-potents", "--poset", f"chain:{n}",
+               "--field", "5", "--k", "2", "--count-only") == (
+        2, {"error": "BudgetExceeded",
+            "message": f"coefficient space has {space} elements, over the "
+                       f"limit {2 ** 20}"})
+
+
 def test_enumerate_potents_budget_and_force(capsys):
-    # --budget alone lifts the refusal; there is no --force to run past it
-    code, out = run(capsys, "enumerate-potents", "--poset", "chain:2",
-                    "--field", "7", "--k", "4", "--budget", "10",
-                    "--count-only")
-    assert code == 2
-    assert out["error"] == "BudgetExceeded"
-    code, out = run(capsys, "enumerate-potents", "--poset", "chain:2",
-                    "--field", "7", "--k", "4", "--budget", str(7 ** 3),
-                    "--count-only")
-    assert code == 0
-    assert out["count"] == 88
+    # neither --budget nor --force runs past the scan cap: both are argparse
+    # errors
+    for flag in (["--budget", str(10 ** 12)], ["--force"]):
+        with pytest.raises(SystemExit) as ei:
+            main(["enumerate-potents", "--poset", "chain:4", "--field", "5",
+                  "--k", "2", "--count-only", *flag])
+        assert ei.value.code == 2
+
+
+def test_decompose_has_no_budget_option(capsys):
+    # the scan cap is the only size limit of the preserver check
     with pytest.raises(SystemExit) as ei:
-        main(["enumerate-potents", "--poset", "chain:2", "--field", "7",
-              "--k", "4", "--budget", "10", "--force", "--count-only"])
+        main(["decompose", "--poset", "chain:2", "--field", "5", "--k", "3",
+              "--budget", "10"])
     assert ei.value.code == 2
 
 
@@ -421,7 +438,7 @@ def test_poset_file_and_literal_agree(tmp_path, capsys):
 
 def test_long_inline_json_poset_is_parsed_not_opened(capsys):
     # the literal is longer than a file name may be; it is parsed, and its
-    # 2^60-element coefficient space is refused for the budget
+    # 2^60-element coefficient space is refused for the scan cap
     spec = json.dumps({"labels": list(range(1, 61)), "relations": []})
     assert len(spec) > 255
     code, out = run(capsys, "enumerate-potents", "--poset", spec, "--field",
@@ -579,6 +596,9 @@ DECOMPOSE_GF5 = ("decompose", "--poset", "chain:2", "--field", "5", "--k",
      {"error": "ValueError", "message": "k must be >= 2"}),
     (DECOMPOSE_GF5, "\n",
      {"error": "DimensionMismatch", "message": "empty map file"}),
+    (("decompose", "--poset", "chain:2", "--field", "5", "--k", "3",
+      "--map", ""), "",
+     {"error": "DimensionMismatch", "message": "empty map file"}),
     (DECOMPOSE_GF5, "5\n1 0 0\n0 1 0\n0 0 1\n",
      {"error": "DimensionMismatch", "message": "bad header '5'"}),
     (DECOMPOSE_GF5, "5 3\n1 0\n0 1 0\n0 0 1\n",
@@ -586,14 +606,19 @@ DECOMPOSE_GF5 = ("decompose", "--poset", "chain:2", "--field", "5", "--k",
     (("spectral", "--poset", "chain:2", "--field", "x", "--k", "3",
       "--element", "[[1,1,1]]"), "",
      {"error": "UnsupportedField", "message": "bad field flag 'x'"}),
+    (("spectral", "--poset", "chain:2", "--field", "5", "--k", "3",
+      "--element", ""), "",
+     {"error": "JSONDecodeError",
+      "message": "Expecting value: line 1 column 1 (char 0)"}),
     (("spectral", "--poset", '{"labels": [1, 1], "relations": []}',
       "--field", "5", "--k", "3", "--element", "[[1,1,1]]"), "",
      {"error": "UnknownLabel", "message": "duplicate labels"}),
     (("verify", "--poset", "chain:2", "--field", "Q", "--theorem",
       "char-ne-2"), "",
      {"error": "UnsupportedField", "message": "sweeps need a finite field"}),
-], ids=["decompose-gf3-k3", "spectral-k1", "map-empty", "map-bad-header",
-        "map-short-row", "field-x", "json-duplicate-labels", "verify-q"])
+], ids=["decompose-gf3-k3", "spectral-k1", "map-empty", "map-blank-literal",
+        "map-bad-header", "map-short-row", "field-x", "element-blank-literal",
+        "json-duplicate-labels", "verify-q"])
 def test_decompose_and_spectral_usage_errors_exit_two(capsys, monkeypatch,
                                                       argv, stdin, message):
     monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
@@ -605,8 +630,8 @@ def test_decompose_and_spectral_usage_errors_exit_two(capsys, monkeypatch,
                          ids=["chain", "antichain", "text", "json"])
 def test_oversized_poset_is_refused_before_it_is_built(capsys, monkeypatch,
                                                        tmp_path, spec):
-    # one element past the cap; --budget does not lift it, and no Poset is
-    # constructed on the way to the refusal
+    # one element past the cap; no Poset is constructed, and no digit array
+    # built, on the way to the refusal
     path = tmp_path / "wide.json"
     path.write_text(json.dumps({"labels": list(range(129)), "relations": []}))
 
@@ -614,9 +639,10 @@ def test_oversized_poset_is_refused_before_it_is_built(capsys, monkeypatch,
         raise AssertionError("Poset built past the size cap")
 
     monkeypatch.setattr(incalg.poset.Poset, "__init__", no_build)
+    forbid_digit_arrays(monkeypatch)
     code, out = run(capsys, "enumerate-potents", "--poset",
                     spec.replace("{file}", str(path)), "--field", "2",
-                    "--k", "2", "--count-only", "--budget", str(10 ** 9))
+                    "--k", "2", "--count-only")
     assert code == 2
     assert out == {"error": "BudgetExceeded",
                    "message": "poset has 129 elements, the cap is 128"}

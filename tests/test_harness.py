@@ -33,7 +33,7 @@ from incalg.linmaps import (LinMap, apply_map, compose, conjugation_map,
                             preserves_jordan_products, scale_map)
 from incalg.poset import chain, enumerate_order_maps
 
-from toolkit import fork, k22, vee
+from toolkit import forbid_digit_arrays, fork, k22, vee
 
 
 def test_gl_order_closed_form():
@@ -142,15 +142,18 @@ def test_sampled_preserver_check_matches_the_element_loop():
     assert verdicts == {(2, True), (2, False), (3, True), (3, False)}
 
 
-def test_preserver_check_refusal_order():
-    # k < 2 over either field, then the budget (27 codes here)
-    phi = identity_map(chain(2), GF(3))
+def test_preserver_check_refusal_order(monkeypatch):
+    # k < 2 over either field, then the scan cap (5^10 codes here), before
+    # any digit array is built
+    forbid_digit_arrays(monkeypatch)
+    phi = identity_map(chain(4), GF(5))
     with pytest.raises(ValueError, match="k must be >= 2"):
-        is_k_potent_preserver(phi, 1, budget=26)
+        is_k_potent_preserver(phi, 1)
     with pytest.raises(ValueError, match="k must be >= 2"):
         is_k_potent_preserver(identity_map(chain(2), QQ()), 1)
-    with pytest.raises(BudgetExceeded):
-        is_k_potent_preserver(phi, 2, budget=26)
+    with pytest.raises(BudgetExceeded) as ei:
+        is_k_potent_preserver(phi, 2)
+    assert ei.value.required == 5 ** 10
 
 
 @pytest.mark.parametrize("q,k", [(2, 2), (3, 2), (4, 2), (5, 3)])
@@ -506,10 +509,7 @@ def test_tables_contents():
 def test_tables_budget_checked_before_build(monkeypatch):
     # a coefficient space over the sweep cap is refused before any table is
     # built
-    def no_digits(*args):
-        raise AssertionError("tables built past the sweep cap")
-
-    monkeypatch.setattr(kernels, "space_digits", no_digits)
+    forbid_digit_arrays(monkeypatch)
     with pytest.raises(BudgetExceeded) as ei:
         build_sweep_tables(chain(2), GF(17))
     assert ei.value.required == 17 ** 3

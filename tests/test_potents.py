@@ -17,7 +17,8 @@ from incalg.potents import (conjugate_to_diagonal, enumerate_k_potents,
                             sample_k_potents, simultaneous_diagonalize,
                             spectral_decompose)
 
-from toolkit import fork, k22, swept_preservers, vee
+from toolkit import (forbid_digit_arrays, fork, k22, swept_preservers,
+                     vee)
 
 
 def brute_force_potents(P, F, k):
@@ -61,12 +62,15 @@ def test_idempotents_of_two_chain_over_gf2_exact_set():
     assert set(enumerate_k_potents(P, F, 2)) == expect
 
 
-def test_enumerate_requires_finite_field_and_budget():
+def test_enumerate_requires_finite_field_and_budget(monkeypatch):
+    # the space of chain(4) over GF(5) is over the scan cap, and is refused
+    # before its digit array is built
+    forbid_digit_arrays(monkeypatch)
     with pytest.raises(UnsupportedField):
         enumerate_k_potents(chain(2), QQ(), 2)
     with pytest.raises(BudgetExceeded) as ei:
-        enumerate_k_potents(chain(3), GF(7), 2, budget=1000)
-    assert ei.value.required == 7 ** 6
+        enumerate_k_potents(chain(4), GF(5), 2)
+    assert ei.value.required == 5 ** 10 > potents.SCAN_SPACE_CAP
 
 
 def _k_minus_one_products(P, F, k):
@@ -103,14 +107,19 @@ def test_potent_scan_takes_logarithmically_many_products(monkeypatch):
     assert len(calls) <= 2 * 21
 
 
-def test_potent_budget_checked_after_cache_is_warm():
-    # the potent cache is keyed by (P, F, k) alone; a budget too small for
-    # the coefficient space is refused whether or not the scan was cached
+def test_warm_potent_cache_hit_skips_the_scan_checks(monkeypatch):
+    # a cached (P, F, k) has passed the scan cap, which cannot change: a hit
+    # neither checks nor scans again
     P, F = chain(2), GF(5)
-    assert len(enumerate_k_potents(P, F, 3)) == 33
-    with pytest.raises(BudgetExceeded) as ei:
-        enumerate_k_potents(P, F, 3, budget=100)
-    assert ei.value.required == 125
+    cold = potents.cached_potents(P, F, 3)
+    assert len(cold.elements) == 33
+
+    def no_call(*args):
+        raise AssertionError("warm cache hit ran the scan path")
+
+    monkeypatch.setattr(potents, "_check_scan", no_call)
+    monkeypatch.setattr(potents, "potent_code_tables", no_call)
+    assert potents.cached_potents(P, F, 3) is cold
 
 
 def test_spectral_decompose_every_tripotent_gf5():

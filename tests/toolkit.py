@@ -1,12 +1,15 @@
-"""What several test files share: the named posets, and brute-force
-enumerators over a finite incidence algebra.
+"""What several test files share: the named posets, brute-force
+enumerators over a finite incidence algebra, and a guard that no
+coefficient space's digit array is built.
 
 A plain module, not collected by pytest; the test files import it by name.
 """
 
 import itertools
 
+from incalg import potents
 from incalg.algebra import IncElement, zero
+from incalg.harness import kernels
 from incalg.harness.kernels import linmap_from_codes, sweep_gl
 from incalg.poset import poset_from_relations
 
@@ -46,3 +49,13 @@ def span_codes(P, F, basis):
 def swept_preservers(P, F, k):
     """The k-potent preservers ``sweep_gl`` finds, as LinMaps in its order."""
     return [linmap_from_codes(P, F, row) for row in sweep_gl(P, F, k).preservers]
+
+
+def forbid_digit_arrays(monkeypatch):
+    """Fail the test if a coefficient space's digit array is built: a
+    refusal must come before it."""
+    def no_digits(*args):
+        raise AssertionError("digit array built past a space cap")
+
+    monkeypatch.setattr(potents, "space_digits", no_digits)
+    monkeypatch.setattr(kernels, "space_digits", no_digits)
