@@ -23,11 +23,10 @@ from .errors import (BudgetExceeded, CycleError, DimensionMismatch,
                      UnknownLabel, UnsupportedField)
 from .field import field_from_flag
 from .harness.demos import DEMO_NAMES, run_all_demos, run_demo
-from .harness.verify import (SPOT_DEFAULT, THEOREMS, describe_poset,
-                             verify_theorem)
+from .harness.verify import THEOREMS, describe_poset, verify_theorem
 from .linmaps import parse_linmap
 from .poset import antichain, chain, parse_poset
-from .potents import (conjugate_to_diagonal, enumerate_k_potents,
+from .potents import (cached_potents, conjugate_to_diagonal,
                       spectral_decompose)
 
 # the errors that refuse a request (exit 2): the input errors of reading
@@ -94,8 +93,7 @@ def cmd_verify(args):
     P = _load_poset(args.poset)
     F = field_from_flag(args.field)
     report = verify_theorem(args.theorem, P, F, k=args.k,
-                            workers=args.workers, backend=args.backend,
-                            spot=args.spot)
+                            workers=args.workers, backend=args.backend)
     _emit(report.to_jsonable())
     return 0 if report.match else 1
 
@@ -138,11 +136,11 @@ def cmd_demo(args):
 def cmd_enumerate_potents(args):
     P = _load_poset(args.poset)
     F = field_from_flag(args.field)
-    elems = enumerate_k_potents(P, F, args.k)
+    pots = cached_potents(P, F, args.k)
     out = {"poset": describe_poset(P), "field": F.flag(),
-           "k": args.k, "count": len(elems)}
+           "k": args.k, "count": len(pots.codes)}
     if not args.count_only:
-        out["elements"] = [f.to_jsonable() for f in elems]
+        out["elements"] = [f.to_jsonable() for f in pots.elements]
     _emit(out)
     return 0
 
@@ -171,8 +169,6 @@ def build_parser():
                    help="number of first-column ranges, searched one after "
                         "another (default: 1)")
     p.add_argument("--backend", choices=("numpy",), default=None)
-    p.add_argument("--spot", type=int, default=SPOT_DEFAULT,
-                   help="how many preservers to push through the factorization")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("decompose", help="factor one map through the "

@@ -34,21 +34,14 @@ _MODULI = {
     64: (1, 1, 0, 1, 1, 0, 1),
 }
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
-
-
 def _factor_prime_power(q):
-    for p in _SMALL_PRIMES:
-        if q % p == 0:
-            m = 0
-            n = q
-            while n % p == 0:
-                n //= p
-                m += 1
-            if n == 1:
-                return p, m
-            return None
-    return None
+    """(p, m) with q = p^m for q >= 2, or None."""
+    p = next(d for d in range(2, q + 1) if q % d == 0)  # least, so prime
+    m, n = 0, q
+    while n % p == 0:
+        n //= p
+        m += 1
+    return (p, m) if n == 1 else None
 
 
 def power_by_squaring(mul, x, n):

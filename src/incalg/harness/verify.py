@@ -4,10 +4,10 @@ Every statement is checked by one recipe: search all bijective maps on
 I(X, F) (a pruned subtree is counted, not visited), collect the k-potent
 preservers, rebuild the family the statement predicts, and compare the two
 as sets of column-code tuples. On a mismatch the first few maps of the
-symmetric difference, in enumeration order, are named as witnesses. A
-handful of preservers are then pushed through ``classify_preserver`` as a
-spot check; each sample records the certificates it reports. Which statement
-applies to (F, k) is decided by ``classify.regime_of``; a row of
+symmetric difference, in enumeration order, are named as witnesses. Up to
+``SPOT_SAMPLES`` preservers are then pushed through ``classify_preserver``
+as a spot check; each sample records the certificates it reports. Which
+statement applies to (F, k) is decided by ``classify.regime_of``; a row of
 ``_STATEMENTS`` holds what differs between the statements: the fixed k, the
 regimes covered, the sweep flags and the family. Reports never raise on
 mismatch; the caller reads the match flag.
@@ -28,7 +28,7 @@ from ..potents import cached_potents
 from .families import bijective_shifts, jordan_like_maps, scaled_maps
 from .kernels import codes_of_linmap, image_codes, linmap_from_codes, sweep_gl
 
-SPOT_DEFAULT = 24
+SPOT_SAMPLES = 24  # the most preservers the spot check factors
 
 
 @dataclass
@@ -61,15 +61,6 @@ def describe_poset(P):
 
 def _rows_to_set(rows):
     return {tuple(int(v) for v in row) for row in rows}
-
-
-def _spot_indices(n, spot):
-    if n <= spot:
-        return list(range(n))
-    if spot == 0:
-        return []
-    step = n // spot
-    return [i * step for i in range(spot)]
 
 
 # --- predicted families: (set of column-code tuples, notes) ---
@@ -122,10 +113,7 @@ _STATEMENTS = {
 THEOREMS = tuple(_STATEMENTS)
 
 
-def verify_theorem(theorem, P, F, k=None, workers=1, backend=None,
-                   spot=SPOT_DEFAULT):
-    if spot < 0:
-        raise ValueError(f"spot must be >= 0; got {spot}")
+def verify_theorem(theorem, P, F, k=None, workers=1, backend=None):
     if theorem not in _STATEMENTS:
         raise ValueError(f"unknown theorem {theorem!r}; choose from {THEOREMS}")
     st = _STATEMENTS[theorem]
@@ -151,7 +139,9 @@ def verify_theorem(theorem, P, F, k=None, workers=1, backend=None,
              for codes in sorted(preservers ^ fam)[:8]] + notes
 
     samples = []
-    for i in _spot_indices(res.preservers.shape[0], spot):
+    n = res.preservers.shape[0]
+    # up to SPOT_SAMPLES preservers, evenly strided in sweep order
+    for i in range(0, n, max(1, n // SPOT_SAMPLES))[:SPOT_SAMPLES]:
         codes = tuple(int(v) for v in res.preservers[i])
         rec = {"map": list(codes)}
         try:

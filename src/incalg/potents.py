@@ -9,6 +9,7 @@ f^k = f come back in code order. The same code/lookup arrays drive the sweep.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -84,9 +85,18 @@ def potent_code_tables(P, F, k):
 
 @dataclass(frozen=True)
 class PotentTables:
+    poset: object
+    field: object
     codes: np.ndarray   # (npot,) int64, k-potents in code order
+    digits: np.ndarray  # (npot, dim) uint8 digit rows
     lookup: np.ndarray  # (space,) bool membership
-    elements: tuple     # the k-potents as IncElements, in code order
+
+    @cached_property
+    def elements(self):
+        """The k-potents as IncElements, in code order, built on first
+        read: a count or a sweep never pays for them."""
+        return tuple(IncElement(self.poset, self.field, [int(v) for v in row])
+                     for row in self.digits)
 
 
 _POTENT_CACHE = {}
@@ -100,10 +110,8 @@ def cached_potents(P, F, k):
     key = (P, F, k)
     tables = _POTENT_CACHE.get(key)
     if tables is None:
-        codes, digits, lookup = potent_code_tables(P, F, k)
-        elements = tuple(IncElement(P, F, [int(v) for v in row])
-                         for row in digits)
-        tables = _POTENT_CACHE[key] = PotentTables(codes, lookup, elements)
+        tables = _POTENT_CACHE[key] = PotentTables(
+            P, F, *potent_code_tables(P, F, k))
     return tables
 
 

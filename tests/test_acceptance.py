@@ -159,7 +159,7 @@ def test_criterion_7_demos_reproduce_every_claim():
 def test_criterion_9_verify_beyond_brute_force(make, q, theorem, preservers):
     P = make()
     t0 = time.perf_counter()
-    report = verify_theorem(theorem, P, GF(q), spot=4)
+    report = verify_theorem(theorem, P, GF(q))
     elapsed = time.perf_counter() - t0
     assert report.maps_swept == gl_order(P.dim, q)
     assert report.preserver_count == report.family_count == preservers

@@ -12,8 +12,10 @@ import pytest
 
 import incalg
 import incalg.cli as cli
+import incalg.harness.kernels as kernels
 import incalg.harness.verify as verify
 import incalg.poset
+from incalg import potents
 from incalg.algebra import conjugate, from_triples
 from incalg.cli import main
 from incalg.errors import (BudgetExceeded, ClaimFailed, CycleError,
@@ -85,6 +87,15 @@ def test_verify_has_no_budget_option(capsys):
     with pytest.raises(SystemExit) as ei:
         main(["verify", "--poset", "chain:2", "--field", "3", "--theorem",
               "char-ne-2", "--budget", "10"])
+    assert ei.value.code == 2
+
+
+def test_verify_has_no_spot_option(capsys):
+    # the spot check factors a fixed SPOT_SAMPLES preservers, part of the
+    # recipe like the sweep cap
+    with pytest.raises(SystemExit) as ei:
+        main(["verify", "--poset", "chain:2", "--field", "3", "--theorem",
+              "char-ne-2", "--spot", "4"])
     assert ei.value.code == 2
 
 
@@ -202,14 +213,6 @@ def test_verify_fixed_k_theorem_refuses_other_k(capsys, k, code):
         assert out["k"] == 2
     else:
         assert out["error"] == "ValueError"
-
-
-def test_verify_spot_zero_takes_no_samples(capsys):
-    code, out = run(capsys, "verify", "--poset", "chain:2", "--field", "3",
-                    "--theorem", "char-ne-2", "--spot", "0")
-    assert code == 0
-    assert out["match"] is True
-    assert out["samples"] == []
 
 
 def test_verify_survives_closed_stdout():
@@ -392,6 +395,19 @@ def test_enumerate_potents_count_only(capsys):
     assert out["count"] == 88
 
 
+def test_enumerate_potents_count_only_builds_no_element(capsys, monkeypatch):
+    # the count reads the scan's codes; an element is built only when a
+    # listing reads the elements
+    def no_element(*args):
+        raise AssertionError("a count-only run built an element")
+
+    monkeypatch.setattr(potents, "_POTENT_CACHE", {})
+    monkeypatch.setattr(potents, "IncElement", no_element)
+    code, out = run(capsys, "enumerate-potents", "--poset", "chain:2",
+                    "--field", "7", "--k", "4", "--count-only")
+    assert code == 0 and out["count"] == 88
+
+
 @pytest.mark.parametrize("n,space", [(4, 5 ** 10), (5, 5 ** 15)],
                          ids=["chain4", "chain5"])
 def test_enumerate_potents_past_the_scan_cap_exits_two(capsys, monkeypatch,
@@ -547,11 +563,11 @@ def test_verify_reports_a_failing_spot_sample(capsys, monkeypatch):
 
     monkeypatch.setattr(verify, "classify_preserver", second_map_fails)
     code, out = run(capsys, "verify", "--poset", "chain:2", "--field", "3",
-                    "--theorem", "char-ne-2", "--spot", "3")
+                    "--theorem", "char-ne-2")
     assert code == 1
     assert out["match"] is False
     assert out["preserver_count"] == out["family_count"] == 12
-    assert [s["ok"] for s in out["samples"]] == [True, False, True]
+    assert [s["ok"] for s in out["samples"]] == [True, False] + [True] * 10
     assert out["samples"][1] == {
         "map": out["samples"][1]["map"], "ok": False,
         "error": "RecompositionMismatch: factors do not recompose to the input"}
@@ -559,17 +575,26 @@ def test_verify_reports_a_failing_spot_sample(capsys, monkeypatch):
 
 def test_verify_internal_error_exits_one(capsys, monkeypatch):
     # a broken invariant is a failed claim, as in decompose, not a refused
-    # request
+    # request: first a sweep that raises it outright, then the sweep's own
+    # |GL| check fed one completion too many per pruned node
     def broken(*args, **kwargs):
         raise InternalConsistencyError(
             "pruned and enumerated maps do not add up to |GL|")
 
-    monkeypatch.setattr(verify, "sweep_gl", broken)
-    code, out = run(capsys, "verify", "--poset", "chain:2", "--field", "3",
-                    "--theorem", "char-ne-2")
-    assert code == 1
-    assert out == {"error": "InternalConsistencyError", "message":
-                   "pruned and enumerated maps do not add up to |GL|"}
+    real = kernels._completions
+    for module, name, patch, message in [
+            (verify, "sweep_gl", broken,
+             "pruned and enumerated maps do not add up to |GL|"),
+            (kernels, "_completions", lambda tab: [c + 1 for c in real(tab)],
+             "pruned and enumerated maps do not add up to |GL|: "
+             "11509 != 11232")]:
+        with monkeypatch.context() as m:
+            m.setattr(module, name, patch)
+            code, out = run(capsys, "verify", "--poset", "chain:2", "--field",
+                            "3", "--theorem", "char-ne-2")
+        assert code == 1
+        assert out == {"error": "InternalConsistencyError",
+                       "message": message}
 
 
 def test_decompose_reads_a_map_file(tmp_path, capsys):

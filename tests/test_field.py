@@ -226,6 +226,20 @@ def test_unsupported_field_sizes():
         GF(1)
 
 
+def test_gf_accepts_exactly_the_prime_powers_up_to_64():
+    accepted = set()
+    for q in range(2, 65):
+        try:
+            F = GF(q)
+        except UnsupportedField as e:
+            assert str(e) == f"{q} is not a prime power"
+            continue
+        assert F.p ** F.m == q and all(F.p % d for d in range(2, F.p))
+        accepted.add(q)
+    assert accepted == {2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27,
+                        29, 31, 32, 37, 41, 43, 47, 49, 53, 59, 61, 64}
+
+
 def test_reducible_modulus_is_refused(monkeypatch):
     # (t + 1)^2 over GF(2): the quotient ring has t + 1 as a zero divisor, so
     # its product table has a nonzero row without a 1. GF is memoized, so the

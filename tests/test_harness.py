@@ -540,7 +540,7 @@ def _record_calls(monkeypatch, fn):
 def test_verify_builds_the_sweep_tables_once(monkeypatch, theorem, P, q, k):
     # the sweep's tables serve the family too: one build per verify
     calls = _record_calls(monkeypatch, kernels.build_sweep_tables)
-    report = verify_theorem(theorem, P, GF(q), k=k, spot=2)
+    report = verify_theorem(theorem, P, GF(q), k=k)
     assert report.match
     assert calls == [(P, GF(q))]
 
@@ -573,13 +573,11 @@ def test_verify_theorem_argument_validation():
         verify_theorem("kpotent", P, GF(5), k=5)  # char divides k
     with pytest.raises(ValueError):
         verify_theorem("no-such-theorem", P, GF(2))
-    # a negative spot is refused before the tables: chain(3) over GF(7)
-    # would otherwise be refused for the sweep cap
-    with pytest.raises(ValueError):
-        verify_theorem("char-ne-2", chain(3), GF(7), spot=-1)
-    report = verify_theorem("char-ne-2", P, GF(3), spot=0)
-    assert report.match and report.samples == []
-    assert report.preserver_count == 12
+    # a report of at most SPOT_SAMPLES preservers samples every one of them
+    report = verify_theorem("char-ne-2", P, GF(3))
+    assert report.match and report.preserver_count == 12
+    assert [s["map"] for s in report.samples] == \
+        sweep_gl(P, GF(3), 2).preservers.tolist()
 
 
 # the statement that covers (GF(q), k), read off the paper's case split;
@@ -668,7 +666,7 @@ def test_a_family_mutant_fails_with_witnesses(monkeypatch, name, mutant,
     # must name the first preservers the family misses, in sweep order
     monkeypatch.setattr(verify, name, mutant)
     F = GF(q)
-    report = verify_theorem(theorem, P, F, k=k, spot=0)
+    report = verify_theorem(theorem, P, F, k=k)
     assert not report.match
     assert (report.preserver_count, report.family_count) == sizes
     witnesses = [note for note in report.notes
